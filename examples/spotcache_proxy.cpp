@@ -8,9 +8,11 @@
 // The client side is the full src/net serving surface (epoll loop, zero-copy
 // parser, writev assembly, metrics scrape, flight recorder); the execution
 // step is a ProxyCore that homes each key on the fleet's consistent-hash
-// ring, pipelines multigets per upstream under a bounded window, and rides
-// the breaker-gated degradation ladder (primary -> backup -> miss) so
-// upstream churn never surfaces to the client as a connection error.
+// ring and parks each request while its legs ride one shared non-blocking
+// pipeline per upstream (on the same epoll loop, under a bounded in-flight
+// window), and rides the breaker-gated degradation ladder (primary ->
+// backup -> miss) so upstream churn never surfaces to the client as a
+// connection error — nor stalls clients whose keys live elsewhere.
 //
 // Readiness: the first stdout line is `listening <port>` (flushed once the
 // socket is bound); with --metrics-port the second line is
@@ -25,8 +27,8 @@
 //   --backup=H:P       the off-ring backup node (read/write fallback)
 //   --port=N           listen port (0 picks an ephemeral port, printed)
 //   --host=H           bind address
-//   --window=N         per-upstream pipelined in-flight window (default 32)
-//   --timeout-ms=N     per-operation upstream socket deadline (default 250)
+//   --window=N         per-upstream in-flight command window (default 32)
+//   --timeout-ms=N     upstream connect / oldest-reply deadline (default 250)
 //   --trace=FILE       on shutdown, write the JSONL event stream
 //   --metrics=FILE     on shutdown, write a Prometheus-style snapshot
 //   --metrics-port=N   serve live Prometheus text over HTTP on port N
@@ -218,15 +220,6 @@ int main(int argc, char** argv) {
     return Usage(kExitUsage);
   }
   config.metrics_dump_path = metrics_path;
-  // The proxy's upstream waits (timeout x rungs) are legitimate loop work;
-  // scale the stall threshold so every degraded fetch is not a "stall".
-  if (config.stall_threshold_us > 0) {
-    const int64_t worst_leg_us =
-        static_cast<int64_t>(proxy_config.upstreams.op_timeout_ms) * 2 * 1000;
-    if (config.stall_threshold_us < worst_leg_us) {
-      config.stall_threshold_us = worst_leg_us;
-    }
-  }
 
   Obs obs;
   obs.tracer.set_enabled(!trace_path.empty());

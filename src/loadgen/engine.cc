@@ -346,6 +346,10 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
     }
     return windows[w];
   };
+  // Per segment: the latest scheduled send among completed ops and the
+  // latest completion — how far the replies ran past the schedule.
+  std::vector<int64_t> last_sched_us(num_segments, 0);
+  std::vector<int64_t> last_done_us(num_segments, 0);
   auto sink = [&](net::ReplyReader::Status status) {
     Conn& c = *sink_conn;
     const Inflight fl = c.inflight.front();
@@ -353,6 +357,9 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
     SegmentStats& seg = segs[fl.segment];
     ++seg.completed;
     ++completed;
+    last_sched_us[fl.segment] =
+        std::max(last_sched_us[fl.segment], fl.scheduled_us);
+    last_done_us[fl.segment] = sink_now_us;
     const size_t second = static_cast<size_t>(sink_now_us / 1'000'000);
     if (second >= per_second.size()) {
       per_second.resize(second + 1, 0);
@@ -558,6 +565,15 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
   result.per_second_completed = std::move(per_second);
   result.windows = std::move(windows);
 
+  // Achieved rates divide by the real completion window: the scheduled
+  // duration stretched by how long after its last scheduled send the last
+  // reply arrived. A server that keeps up adds one latency; a saturated one
+  // adds its backlog, so achieved falls below offered.
+  auto completion_window_s = [](double duration_s, int64_t sched_us,
+                                int64_t done_us) {
+    const int64_t overrun_us = std::max<int64_t>(done_us - sched_us, 0);
+    return duration_s + static_cast<double>(overrun_us) * 1e-6;
+  };
   LogHistogram overall = MakeLatencyHistogram();
   for (size_t s = 0; s < num_segments; ++s) {
     LogHistogram seg_hist = MakeLatencyHistogram();
@@ -570,7 +586,9 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
     seg.duration_s = seg_durations[s];
     if (seg.duration_s > 0.0) {
       seg.offered_rps = static_cast<double>(seg.scheduled) / seg.duration_s;
-      seg.achieved_rps = static_cast<double>(seg.completed) / seg.duration_s;
+      seg.achieved_rps = static_cast<double>(seg.completed) /
+                         completion_window_s(seg.duration_s, last_sched_us[s],
+                                             last_done_us[s]);
     }
     seg.latency = Summarize(seg_hist);
   }
@@ -580,7 +598,13 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
   if (sc.duration_s > 0.0) {
     result.offered_rps =
         static_cast<double>(result.scheduled) / sc.duration_s;
-    result.achieved_rps = static_cast<double>(completed) / sc.duration_s;
+    const int64_t run_sched_us =
+        *std::max_element(last_sched_us.begin(), last_sched_us.end());
+    const int64_t run_done_us =
+        *std::max_element(last_done_us.begin(), last_done_us.end());
+    result.achieved_rps =
+        static_cast<double>(completed) /
+        completion_window_s(sc.duration_s, run_sched_us, run_done_us);
   }
   result.ok = result.error.empty();
   return result;

@@ -81,7 +81,7 @@ struct SegmentStats {
   uint64_t errors = 0;
   uint64_t get_misses = 0;
   double offered_rps = 0.0;   // scheduled / duration
-  double achieved_rps = 0.0;  // completed / duration
+  double achieved_rps = 0.0;  // completed / real completion window
   LatencySummary latency;
 };
 
@@ -91,6 +91,8 @@ struct LoadGenResult {
 
   double run_duration_s = 0.0;  // schedule duration (offered window)
   double offered_rps = 0.0;
+  /// completed / real completion window (the schedule plus the time its
+  /// last replies ran past it), so a saturated server reads below offered.
   double achieved_rps = 0.0;
   uint64_t scheduled = 0;
   uint64_t completed = 0;

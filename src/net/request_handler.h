@@ -15,14 +15,20 @@
 //   * set_telemetry() receives the server's RequestTelemetry so the handler
 //     can classify (op, outcome) per request; handlers may ignore it.
 //
-// Handlers run on the server's loop thread only — no locking required, and
-// a handler that blocks stalls the whole loop (ProxyCore bounds its upstream
-// waits with per-operation timeouts for exactly this reason).
+// Handlers run on the server's loop thread only — no locking required. A
+// synchronous Handle() has the loop to itself until it returns, so it must
+// not wait on the network. A handler that does (the proxy) parks instead:
+// AttachLoop() returning true switches the server to Start(), which may
+// return kParked and deliver the reply later through the loop
+// (event_loop.h) while the server keeps serving every other request. Both
+// hooks are defaulted, so a handler that only overrides Handle() — or wraps
+// another handler as a plain RequestHandler* — stays synchronous.
 
 #pragma once
 
 #include <cstdint>
 
+#include "src/net/event_loop.h"
 #include "src/net/protocol.h"
 #include "src/net/response.h"
 #include "src/obs/request_telemetry.h"
@@ -31,6 +37,17 @@ namespace spotcache::net {
 
 class RequestHandler {
  public:
+  /// How Start() left a request.
+  enum class Started : uint8_t {
+    kDone,    // reply appended to `out`
+    kClose,   // reply appended; close the connection after flushing (quit)
+    kParked,  // nothing appended; the reply arrives via CompleteParked
+    /// kParked, and the connection's later requests wait until this one is
+    /// answered: for replies that must reflect everything before them and
+    /// nothing after (the proxy's stats).
+    kParkedBarrier,
+  };
+
   virtual ~RequestHandler() = default;
 
   /// Executes one request at unix-seconds `now`, appending the reply to
@@ -44,6 +61,22 @@ class RequestHandler {
 
   /// Attaches the serving-path telemetry (non-owning; may be null).
   virtual void set_telemetry(RequestTelemetry* telemetry) { (void)telemetry; }
+
+  /// Offers the server's loop (called by NetServer::SetHandler). Returning
+  /// true opts into Start(); the default stays synchronous.
+  virtual bool AttachLoop(EventLoop* loop) {
+    (void)loop;
+    return false;
+  }
+
+  /// Begins one request (only called after AttachLoop returned true). The
+  /// request's views die when Start returns; a parked request copies what
+  /// it needs and later calls loop->CompleteParked(ticket, reply).
+  virtual Started Start(const TextRequest& req, int64_t now,
+                        ResponseAssembler* out, const ReplyTicket& ticket) {
+    (void)ticket;
+    return Handle(req, now, out) ? Started::kDone : Started::kClose;
+  }
 };
 
 }  // namespace spotcache::net

@@ -12,7 +12,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <ctime>
 #include <fstream>
 #include <thread>
@@ -32,6 +34,11 @@ bool SetNonBlocking(int fd) {
 /// Concurrent scrape connections tolerated beyond max_connections: scrapes
 /// must succeed while the cache listener is saturated, but stay bounded.
 constexpr size_t kMaxMetricsConns = 32;
+
+/// Parked requests one connection may have before the server stops reading
+/// from it: enough to keep every upstream window full behind one pipelining
+/// client, few enough to bound what a client can make the proxy hold.
+constexpr size_t kMaxParkedPerConn = 1024;
 
 }  // namespace
 
@@ -195,8 +202,16 @@ bool NetServer::Run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stop_requested_.load(std::memory_order_relaxed)) {
+    int timeout_ms = wait_ms;
+    if (!completed_.empty()) {
+      // Replies answered outside the flush pass (a reload re-routing legs)
+      // must not wait for the next event.
+      timeout_ms = 0;
+    } else if (!loop_clients_.empty()) {
+      timeout_ms = WaitTimeoutMs(wait_ms);
+    }
     const int64_t t_wait0 = instrument ? RequestTelemetry::NowMicros() : 0;
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, wait_ms);
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     const int64_t t_work0 = instrument ? RequestTelemetry::NowMicros() : 0;
     if (n < 0) {
       if (errno == EINTR) {
@@ -224,7 +239,13 @@ bool NetServer::Run() {
       }
       auto it = conns_.find(fd);
       if (it == conns_.end()) {
-        continue;  // closed earlier in this batch
+        // A loop client's socket, or a connection closed earlier in this
+        // batch.
+        const auto foreign = foreign_fds_.find(fd);
+        if (foreign != foreign_fds_.end()) {
+          foreign->second->OnFdReady(fd, events[i].events);
+        }
+        continue;
       }
       Connection* conn = it->second.get();
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
@@ -242,6 +263,22 @@ bool NetServer::Run() {
         ConnWritable(conn);
       }
     }
+    if (!loop_clients_.empty()) {
+      const int64_t now_us = RequestTelemetry::NowMicros();
+      for (LoopClient* client : loop_clients_) {
+        client->Tick(now_us);
+      }
+    }
+    // Flush replies answered during this iteration. FlushCompleted may
+    // resume parsing and answer (or queue) more, so iterate by index.
+    for (size_t i = 0; i < completed_.size(); ++i) {
+      const auto [fd, id] = completed_[i];
+      const auto it = conns_.find(fd);
+      if (it != conns_.end() && it->second->id == id) {
+        FlushCompleted(it->second.get());
+      }
+    }
+    completed_.clear();
     if (core_.sharded()) {
       core_.ServiceInbox();  // peers' ops, queued while we were waiting
     }
@@ -308,6 +345,75 @@ void NetServer::RequestTelemetryDump() {
 void NetServer::SetHandler(RequestHandler* handler) {
   handler_ = handler != nullptr ? handler : &core_;
   handler_->set_telemetry(telemetry_.get());
+  parking_ = handler_->AttachLoop(this);
+}
+
+int NetServer::WaitTimeoutMs(int idle_ms) const {
+  int64_t deadline = LoopClient::kNoDeadline;
+  for (const LoopClient* client : loop_clients_) {
+    deadline = std::min(deadline, client->NextDeadlineUs());
+  }
+  if (deadline == LoopClient::kNoDeadline) {
+    return idle_ms;
+  }
+  const int64_t left_us = deadline - RequestTelemetry::NowMicros();
+  if (left_us <= 0) {
+    return 0;
+  }
+  // Round up: waking a hair early would only spin through one more wait.
+  const int64_t ms = std::min<int64_t>((left_us + 999) / 1000, INT_MAX);
+  return idle_ms >= 0 && idle_ms < ms ? idle_ms : static_cast<int>(ms);
+}
+
+void NetServer::AddClient(LoopClient* client) {
+  loop_clients_.push_back(client);
+}
+
+bool NetServer::WatchFd(int fd, LoopClient* client, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (epoll_fd_ < 0 || ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    return false;
+  }
+  foreign_fds_[fd] = client;
+  return true;
+}
+
+void NetServer::SetWantWrite(int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+}
+
+void NetServer::UnwatchFd(int fd) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  foreign_fds_.erase(fd);
+}
+
+void NetServer::CompleteParked(const ReplyTicket& ticket,
+                               std::string&& reply) {
+  const auto it = conns_.find(ticket.fd);
+  if (it == conns_.end() || it->second->id != ticket.conn) {
+    return;  // the client left; nobody is owed this reply any more
+  }
+  Connection* conn = it->second.get();
+  if (ticket.seq < conn->slot_base ||
+      ticket.seq - conn->slot_base >= conn->slots.size()) {
+    return;
+  }
+  ReplySlot& slot = conn->slots[ticket.seq - conn->slot_base];
+  if (slot.ready) {
+    return;
+  }
+  slot.reply = std::move(reply);
+  slot.ready = true;
+  --conn->parked;
+  if (!conn->completed) {
+    conn->completed = true;
+    completed_.emplace_back(ticket.fd, ticket.conn);
+  }
 }
 
 void NetServer::SetReloadHandler(std::function<void()> on_reload) {
@@ -421,6 +527,7 @@ void NetServer::RegisterConn(int fd, bool metrics) {
   conn->fd = fd;
   conn->id = next_conn_id_++;
   conn->is_metrics = metrics;
+  conn->armed = EPOLLIN;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
@@ -584,6 +691,10 @@ void NetServer::MetricsReadable(Connection* conn) {
 }
 
 void NetServer::Drain(Connection* conn) {
+  if (parking_) {
+    DrainParked(conn);
+    return;
+  }
   if (core_.sharded()) {
     DrainSharded(conn);
     return;
@@ -625,6 +736,83 @@ void NetServer::Drain(Connection* conn) {
     }
   }
   FlushTimed(conn, t);
+}
+
+void NetServer::DrainParked(Connection* conn) {
+  const int64_t now = NowUnix();
+  RequestTelemetry* t = telemetry_.get();
+  if (t != nullptr) {
+    t->BeginBatch(conn->id);
+  }
+  while (conn->parked < kMaxParkedPerConn && !conn->close_after_flush &&
+         !conn->holding()) {
+    if (t != nullptr) {
+      t->BeginRequest();
+    }
+    const ParseStatus st = conn->parser.Next();
+    if (st == ParseStatus::kNeedMore) {
+      if (t != nullptr) {
+        t->OnAbandoned();
+      }
+      break;
+    }
+    // Only a reply with nothing older still owed may go straight out.
+    const bool in_order = conn->slots.empty();
+    ResponseAssembler* out = in_order ? &conn->assembler : &park_scratch_;
+    RequestHandler::Started started = RequestHandler::Started::kDone;
+    if (st == ParseStatus::kError) {
+      if (t != nullptr) {
+        t->OnParsed(TelemetryOp::kOther, 0);
+      }
+      handler_->HandleParseError(conn->parser.error(), out);
+      if (t != nullptr) {
+        t->OnExecuted(RequestOutcome::kError, 0);
+      }
+      Trace("protocol_error",
+            {{"conn",
+              EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
+             {"kind",
+              EventTracer::JsonString(ToString(conn->parser.error()))}});
+    } else {
+      const ReplyTicket ticket{conn->fd, conn->id,
+                               conn->slot_base + conn->slots.size()};
+      started = handler_->Start(conn->parser.request(), now, out, ticket);
+    }
+    if (started == RequestHandler::Started::kParked ||
+        started == RequestHandler::Started::kParkedBarrier) {
+      conn->slots.emplace_back().barrier =
+          started == RequestHandler::Started::kParkedBarrier;
+      ++conn->parked;
+    } else if (!in_order) {
+      ReplySlot& slot = conn->slots.emplace_back();
+      slot.reply = park_scratch_.Flatten();
+      slot.ready = true;
+      park_scratch_.Clear();
+    }
+    if (started == RequestHandler::Started::kClose) {
+      conn->close_after_flush = true;
+    }
+  }
+  FlushTimed(conn, t);
+}
+
+void NetServer::FlushCompleted(Connection* conn) {
+  conn->completed = false;
+  while (!conn->slots.empty() && conn->slots.front().ready) {
+    conn->assembler.Append(conn->slots.front().reply);
+    conn->slots.pop_front();
+    ++conn->slot_base;
+  }
+  const int fd = conn->fd;
+  Flush(conn);
+  if (conns_.find(fd) == conns_.end()) {
+    return;  // closed by the flush (quit, write error, slow consumer)
+  }
+  // Requests left buffered by the parked cap or a barrier can go now.
+  if ((conn->armed & EPOLLIN) != 0 && !conn->holding() &&
+      conn->parser.buffered() > 0) {
+    DrainParked(conn);
+  }
 }
 
 void NetServer::DrainSharded(Connection* conn) {
@@ -798,22 +986,36 @@ void NetServer::Flush(Connection* conn) {
     CloseConn(conn, "slow_consumer");
     return;
   }
-  if (conn->pending_out.empty() && conn->close_after_flush) {
+  if (conn->pending_out.empty() && conn->close_after_flush &&
+      conn->slots.empty()) {
     CloseConn(conn, "quit");
     return;
   }
-  const bool want_write = !conn->pending_out.empty();
-  if (want_write != conn->want_write) {
-    conn->want_write = want_write;
-    UpdateEpoll(conn);
-  }
+  UpdateInterest(conn);
 }
 
 void NetServer::ConnWritable(Connection* conn) { Flush(conn); }
 
-void NetServer::UpdateEpoll(Connection* conn) {
+void NetServer::UpdateInterest(Connection* conn) {
+  uint32_t want = conn->armed & EPOLLIN;
+  if (parking_) {
+    // Hysteresis: stop reading at the cap, resume at half of it, so a
+    // client pipelining past the cap does not flip epoll per reply.
+    if (conn->parked >= kMaxParkedPerConn) {
+      want = 0;
+    } else if (conn->parked <= kMaxParkedPerConn / 2) {
+      want = EPOLLIN;
+    }
+  }
+  if (!conn->pending_out.empty()) {
+    want |= EPOLLOUT;
+  }
+  if (want == conn->armed) {
+    return;
+  }
+  conn->armed = want;
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
+  ev.events = want;
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }

@@ -37,6 +37,14 @@
 // telemetry's `slow_request_us` triggers the same dump automatically
 // (debounced to at most one per second).
 //
+// Parking handlers (event_loop.h): a handler whose AttachLoop() accepts the
+// server's loop may park requests. Each connection then keeps an ordered
+// queue of reply slots — a reply that completes early waits behind the
+// parked ones before it — and stops reading its client while 1024 requests
+// are parked, resuming once half of them have been answered. The same loop
+// carries the handler's own sockets and wakes for its deadlines. ServerCore
+// never parks and keeps the plain drain.
+//
 // Run() owns the calling thread until Stop() (thread-safe, eventfd wakeup)
 // or a fatal listener error. Expiry time is injectable (`SetClock`) so tests
 // drive memcached expiry semantics deterministically over real sockets.
@@ -45,6 +53,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -52,6 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/net/event_loop.h"
 #include "src/net/protocol.h"
 #include "src/net/request_handler.h"
 #include "src/net/response.h"
@@ -97,11 +107,11 @@ struct NetServerConfig {
   bool skip_cache_listener = false;
 };
 
-class NetServer {
+class NetServer final : public EventLoop {
  public:
   NetServer(const NetServerConfig& config, SpotCacheSystem* system = nullptr,
             Obs* obs = nullptr);
-  ~NetServer();
+  ~NetServer() override;
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
@@ -125,10 +135,18 @@ class NetServer {
   void RequestTelemetryDump();
 
   /// Substitutes `handler` for the built-in ServerCore on the single-threaded
-  /// drain path (the proxy seam; see request_handler.h). Must be called
-  /// before Run(); the handler must outlive the server. Incompatible with
-  /// sharded serving (DrainSharded executes through ServerCore batches).
+  /// drain path (the proxy seam; see request_handler.h) and offers it this
+  /// server's loop. Must be called before Run(); the handler must outlive
+  /// the server. Incompatible with sharded serving (DrainSharded executes
+  /// through ServerCore batches).
   void SetHandler(RequestHandler* handler);
+
+  // --- EventLoop (loop thread only; see event_loop.h). -------------------
+  void AddClient(LoopClient* client) override;
+  bool WatchFd(int fd, LoopClient* client, bool want_write) override;
+  void SetWantWrite(int fd, bool want_write) override;
+  void UnwatchFd(int fd) override;
+  void CompleteParked(const ReplyTicket& ticket, std::string&& reply) override;
 
   /// Installs the loop-context reload callback RequestReload() triggers.
   /// Must be called before Run(); runs on the loop thread between batches.
@@ -173,6 +191,13 @@ class NetServer {
   int wake_fd() const { return wake_fd_; }
 
  private:
+  /// One unanswered request of a parking handler's connection.
+  struct ReplySlot {
+    std::string reply;
+    bool ready = false;
+    bool barrier = false;  // parsing waits until this slot is answered
+  };
+
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
@@ -180,8 +205,20 @@ class NetServer {
     ResponseAssembler assembler;
     std::string pending_out;  // unsent bytes after a short write
     size_t pending_sent = 0;  // consumed prefix of pending_out
-    bool want_write = false;
+    uint32_t armed = 0;       // epoll interest currently registered
     bool close_after_flush = false;
+    // Parking handlers only: replies owed, oldest first. A reply completed
+    // while an older one is parked waits in its slot.
+    std::deque<ReplySlot> slots;
+    uint64_t slot_base = 0;  // request sequence number of slots.front()
+    size_t parked = 0;       // slots the handler still owes
+    bool completed = false;  // queued on completed_
+
+    /// An unanswered barrier holds the rest of the stream (it is always the
+    /// newest slot: nothing is parsed after it).
+    bool holding() const {
+      return !slots.empty() && slots.back().barrier && !slots.back().ready;
+    }
     /// Metrics-scrape connection: bytes go through a tiny HTTP/1.0
     /// responder instead of the memcached parser.
     bool is_metrics = false;
@@ -195,6 +232,13 @@ class NetServer {
   void ConnWritable(Connection* conn);
   /// Runs parse/execute over buffered bytes, then flushes.
   void Drain(Connection* conn);
+  /// Drain for parking handlers: Start() per request, reply slots in order.
+  void DrainParked(Connection* conn);
+  /// Moves a connection's answered head slots into its assembler, flushes,
+  /// and resumes parsing once enough parked requests have been answered.
+  void FlushCompleted(Connection* conn);
+  /// epoll_wait timeout honoring the loop clients' deadlines.
+  int WaitTimeoutMs(int idle_ms) const;
   /// Sharded drain: parses the whole buffered batch into owned PendingEvents
   /// first (scatter-ahead needs requests that outlive the parser buffer),
   /// then executes via ServerCore::ExecuteBatch.
@@ -210,7 +254,9 @@ class NetServer {
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
   void CloseConn(Connection* conn, const char* reason);
-  void UpdateEpoll(Connection* conn);
+  /// Re-registers the connection's epoll interest when it changed: EPOLLOUT
+  /// while output is pending, EPOLLIN unless too many requests are parked.
+  void UpdateInterest(Connection* conn);
   /// Opens one non-blocking listener on bind_host:port; returns the fd (or
   /// -1) and writes the bound port through `bound_port`.
   int OpenListener(uint16_t port, uint16_t* bound_port);
@@ -229,6 +275,14 @@ class NetServer {
   /// The active request executor: &core_ unless SetHandler() swapped in a
   /// different implementation (e.g. the proxy's fan-out core).
   RequestHandler* handler_ = nullptr;
+  /// handler_ accepted the loop: requests go through Start() and may park.
+  bool parking_ = false;
+  ResponseAssembler park_scratch_;  // replies queued behind a parked one
+  /// Connections with newly answered slots, as (fd, id), flushed at the end
+  /// of the loop iteration.
+  std::vector<std::pair<int, uint64_t>> completed_;
+  std::vector<LoopClient*> loop_clients_;
+  std::unordered_map<int, LoopClient*> foreign_fds_;
   Obs* obs_;
   std::unique_ptr<RequestTelemetry> telemetry_;
   std::function<int64_t()> clock_;

@@ -78,22 +78,81 @@ bool ProxyCore::ReloadMembership(const std::string& path) {
   return true;
 }
 
-void ProxyCore::HandleRetrieve(const net::TextRequest& req,
-                               net::ResponseAssembler* out,
-                               RequestOutcome* outcome,
-                               uint32_t* value_bytes) {
-  ++stats_.gets;
-  stats_.get_keys += req.keys.size();
-  const bool with_cas = req.verb == net::Verb::kGets;
-  keys_.assign(req.keys.begin(), req.keys.end());
-  pool_.MultiGet(keys_, with_cas, &fetches_);
+bool ProxyCore::AttachLoop(net::EventLoop* loop) {
+  loop_ = loop;
+  pool_.AttachLoop(loop);
+  return true;
+}
 
-  *outcome = RequestOutcome::kHit;
-  for (size_t i = 0; i < fetches_.size(); ++i) {
-    const KeyFetch& fetch = fetches_[i];
+bool ProxyCore::Prepare(const net::TextRequest& req, Request* r) {
+  switch (req.verb) {
+    case net::Verb::kGet:
+    case net::Verb::kGets:
+      ++stats_.gets;
+      stats_.get_keys += req.keys.size();
+      r->SetGet(std::vector<std::string>(req.keys.begin(), req.keys.end()),
+                req.verb == net::Verb::kGets);
+      break;
+    case net::Verb::kSet:
+    case net::Verb::kAdd:
+    case net::Verb::kReplace:
+    case net::Verb::kDelete:
+    case net::Verb::kTouch:
+      if (req.verb == net::Verb::kDelete) {
+        ++stats_.deletes;
+      } else if (req.verb == net::Verb::kTouch) {
+        ++stats_.touches;
+      } else {
+        ++stats_.sets;
+        if (obs_sets_ != nullptr) {
+          obs_sets_->Increment();
+        }
+      }
+      // Forwarded WITHOUT noreply, and the status line is awaited even when
+      // the client asked for silence: the upstream round trip keeps cas
+      // numbering and command ordering in lockstep with direct serving.
+      r->SetLine(std::string(req.keys[0]), RebuildWire(req));
+      break;
+    case net::Verb::kFlushAll:
+      ++stats_.flushes;
+      r->SetFlush(req.delay_s);
+      break;
+    case net::Verb::kStats:
+    case net::Verb::kVersion:
+    case net::Verb::kQuit:
+      return false;
+  }
+  r->verb = req.verb;
+  r->noreply = req.noreply;
+  return true;
+}
+
+RequestOutcome ProxyCore::Render(const Request& r, net::ResponseAssembler* out,
+                                 uint32_t* value_bytes) {
+  switch (r.kind()) {
+    case UpstreamOp::Kind::kGet:
+      return RenderRetrieve(r, out, value_bytes);
+    case UpstreamOp::Kind::kLine:
+      return RenderForwarded(r, out);
+    case UpstreamOp::Kind::kFlush:
+      if (!r.noreply) {
+        out->Append("OK\r\n");
+      }
+      break;
+  }
+  return RequestOutcome::kOther;
+}
+
+RequestOutcome ProxyCore::RenderRetrieve(const Request& r,
+                                         net::ResponseAssembler* out,
+                                         uint32_t* value_bytes) {
+  const bool with_cas = r.verb == net::Verb::kGets;
+  RequestOutcome outcome = RequestOutcome::kHit;
+  for (size_t i = 0; i < r.fetches().size(); ++i) {
+    const KeyFetch& fetch = r.fetches()[i];
     if (fetch.found) {
       // Byte-identical to ServerCore's VALUE block formatting.
-      const std::string_view key = keys_[i];
+      const std::string& key = r.keys()[i];
       if (with_cas) {
         out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
                      static_cast<int>(key.size()), key.data(), fetch.flags,
@@ -110,7 +169,7 @@ void ProxyCore::HandleRetrieve(const net::TextRequest& req,
         if (obs_backup_hits_ != nullptr) {
           obs_backup_hits_->Increment();
         }
-        *outcome = Worse(*outcome, RequestOutcome::kBackup);
+        outcome = Worse(outcome, RequestOutcome::kBackup);
       } else {
         ++stats_.get_hits;
         if (obs_get_hits_ != nullptr) {
@@ -123,16 +182,17 @@ void ProxyCore::HandleRetrieve(const net::TextRequest& req,
       if (obs_sheds_ != nullptr) {
         obs_sheds_->Increment();
       }
-      *outcome = Worse(*outcome, RequestOutcome::kShed);
+      outcome = Worse(outcome, RequestOutcome::kShed);
     } else {
       ++stats_.misses;
       if (obs_misses_ != nullptr) {
         obs_misses_->Increment();
       }
-      *outcome = Worse(*outcome, RequestOutcome::kMiss);
+      outcome = Worse(outcome, RequestOutcome::kMiss);
     }
   }
   out->Append("END\r\n");
+  return outcome;
 }
 
 std::string ProxyCore::RebuildWire(const net::TextRequest& req) const {
@@ -166,50 +226,35 @@ std::string ProxyCore::RebuildWire(const net::TextRequest& req) const {
   return wire;
 }
 
-void ProxyCore::HandleForwarded(const net::TextRequest& req,
-                                net::ResponseAssembler* out,
-                                RequestOutcome* outcome) {
-  const bool storage = req.verb == net::Verb::kSet ||
-                       req.verb == net::Verb::kAdd ||
-                       req.verb == net::Verb::kReplace;
-  if (storage) {
-    ++stats_.sets;
-    if (obs_sets_ != nullptr) {
-      obs_sets_->Increment();
-    }
-  } else if (req.verb == net::Verb::kDelete) {
-    ++stats_.deletes;
-  } else {
-    ++stats_.touches;
-  }
-
-  // Forward WITHOUT noreply and await the status line even when the client
-  // asked for silence: the upstream round trip keeps cas numbering and
-  // command ordering in lockstep with direct serving.
-  const ForwardResult result = pool_.ForwardLineCommand(req.keys[0],
-                                                        RebuildWire(req));
+RequestOutcome ProxyCore::RenderForwarded(const Request& r,
+                                          net::ResponseAssembler* out) {
+  const bool storage = r.verb == net::Verb::kSet ||
+                       r.verb == net::Verb::kAdd ||
+                       r.verb == net::Verb::kReplace;
+  const ForwardResult& result = r.forward();
   if (result.line.has_value()) {
+    RequestOutcome outcome;
     if (storage) {
       if (result.rung == ServedRung::kBackup) {
         ++stats_.set_backup;
       } else {
         ++stats_.set_primary;
       }
-      *outcome = *result.line == "STORED" ? RequestOutcome::kStored
-                                          : RequestOutcome::kNotStored;
+      outcome = *result.line == "STORED" ? RequestOutcome::kStored
+                                         : RequestOutcome::kNotStored;
       if (result.rung == ServedRung::kBackup) {
-        *outcome = RequestOutcome::kBackup;
+        outcome = RequestOutcome::kBackup;
       }
     } else {
-      *outcome = (*result.line == "DELETED" || *result.line == "TOUCHED")
-                     ? RequestOutcome::kHit
-                     : RequestOutcome::kMiss;
+      outcome = (*result.line == "DELETED" || *result.line == "TOUCHED")
+                    ? RequestOutcome::kHit
+                    : RequestOutcome::kMiss;
     }
-    if (!req.noreply) {
+    if (!r.noreply) {
       out->Append(*result.line);
       out->Append("\r\n");
     }
-    return;
+    return outcome;
   }
 
   // No rung reachable. Never lie about a write landing: surface a
@@ -217,13 +262,13 @@ void ProxyCore::HandleForwarded(const net::TextRequest& req,
   if (storage) {
     ++stats_.set_failures;
   }
-  *outcome = RequestOutcome::kShed;
   if (obs_sheds_ != nullptr) {
     obs_sheds_->Increment();
   }
-  if (!req.noreply) {
+  if (!r.noreply) {
     out->Append("SERVER_ERROR proxy upstream unavailable\r\n");
   }
+  return RequestOutcome::kShed;
 }
 
 void ProxyCore::AppendStats(net::ResponseAssembler* out) {
@@ -260,9 +305,21 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   out->Append("END\r\n");
 }
 
-bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
-                       net::ResponseAssembler* out) {
-  (void)now;  // expiry is the upstreams' business; the proxy holds no items
+bool ProxyCore::AnswerLocally(const net::TextRequest& req,
+                              net::ResponseAssembler* out) {
+  switch (req.verb) {
+    case net::Verb::kStats:
+      AppendStats(out);
+      return true;
+    case net::Verb::kVersion:
+      out->Appendf("VERSION %s\r\n", config_.version.c_str());
+      return true;
+    default:
+      return false;  // quit
+  }
+}
+
+void ProxyCore::BeginRequest(const net::TextRequest& req) {
   ++stats_.requests;
   if (obs_requests_ != nullptr) {
     obs_requests_->Increment();
@@ -271,59 +328,104 @@ bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
     telemetry_->OnParsed(OpFor(req.verb),
                          static_cast<uint32_t>(req.keys.size()));
   }
-  const uint64_t absorbed_before = pool_.stats().absorbed_failures;
-  const uint64_t reconnects_before = pool_.stats().reconnects;
+}
 
-  RequestOutcome outcome = RequestOutcome::kOther;
-  uint32_t value_bytes = 0;
-  bool keep_open = true;
-  switch (req.verb) {
-    case net::Verb::kGet:
-    case net::Verb::kGets:
-      HandleRetrieve(req, out, &outcome, &value_bytes);
-      break;
-
-    case net::Verb::kSet:
-    case net::Verb::kAdd:
-    case net::Verb::kReplace:
-    case net::Verb::kDelete:
-    case net::Verb::kTouch:
-      HandleForwarded(req, out, &outcome);
-      break;
-
-    case net::Verb::kStats:
-      AppendStats(out);
-      break;
-
-    case net::Verb::kVersion:
-      out->Appendf("VERSION %s\r\n", config_.version.c_str());
-      break;
-
-    case net::Verb::kFlushAll:
-      ++stats_.flushes;
-      pool_.BroadcastFlush(req.delay_s);
-      if (!req.noreply) {
-        out->Append("OK\r\n");
-      }
-      break;
-
-    case net::Verb::kQuit:
-      keep_open = false;
-      break;
-  }
-
-  if (obs_absorbed_ != nullptr) {
-    obs_absorbed_->Increment(static_cast<int64_t>(
-        pool_.stats().absorbed_failures - absorbed_before));
-  }
-  if (obs_reconnects_ != nullptr) {
-    obs_reconnects_->Increment(
-        static_cast<int64_t>(pool_.stats().reconnects - reconnects_before));
-  }
+void ProxyCore::EndRequest(RequestOutcome outcome, uint32_t value_bytes) {
+  MirrorPoolCounters();
   if (telemetry_ != nullptr) {
     telemetry_->OnExecuted(outcome, value_bytes);
   }
-  return keep_open;
+}
+
+void ProxyCore::MirrorPoolCounters() {
+  const UpstreamPoolStats& ps = pool_.stats();
+  if (obs_absorbed_ != nullptr) {
+    obs_absorbed_->Increment(
+        static_cast<int64_t>(ps.absorbed_failures - mirrored_absorbed_));
+  }
+  if (obs_reconnects_ != nullptr) {
+    obs_reconnects_->Increment(
+        static_cast<int64_t>(ps.reconnects - mirrored_reconnects_));
+  }
+  mirrored_absorbed_ = ps.absorbed_failures;
+  mirrored_reconnects_ = ps.reconnects;
+}
+
+bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
+                       net::ResponseAssembler* out) {
+  (void)now;  // expiry is the upstreams' business; the proxy holds no items
+  BeginRequest(req);
+  Request r;
+  if (!Prepare(req, &r)) {
+    const bool keep_open = AnswerLocally(req, out);
+    EndRequest(RequestOutcome::kOther, 0);
+    return keep_open;
+  }
+  pool_.Run(&r);
+  uint32_t value_bytes = 0;
+  const RequestOutcome outcome = Render(r, out, &value_bytes);
+  EndRequest(outcome, value_bytes);
+  return true;
+}
+
+net::RequestHandler::Started ProxyCore::Start(const net::TextRequest& req,
+                                              int64_t now,
+                                              net::ResponseAssembler* out,
+                                              const net::ReplyTicket& ticket) {
+  (void)now;
+  BeginRequest(req);
+  Request& r = parked_.emplace_back();
+  r.ticket = ticket;
+  if (!Prepare(req, &r)) {
+    if (req.verb == net::Verb::kStats && parked_.size() > 1) {
+      // Requests before this one are still out: answer once they are all
+      // in (Retire), with this connection held until then.
+      r.verb = net::Verb::kStats;
+      EndRequest(RequestOutcome::kOther, 0);
+      return Started::kParkedBarrier;
+    }
+    parked_.pop_back();
+    const bool keep_open = AnswerLocally(req, out);
+    EndRequest(RequestOutcome::kOther, 0);
+    return keep_open ? Started::kDone : Started::kClose;
+  }
+  pool_.Start(&r, this);
+  if (r.done()) {  // resolved without I/O (every rung skipped)
+    uint32_t value_bytes = 0;
+    const RequestOutcome outcome = Render(r, out, &value_bytes);
+    parked_.pop_back();
+    EndRequest(outcome, value_bytes);
+    return Started::kDone;
+  }
+  // Telemetry sees the dispatch; the verdict lands in the proxy/* counters
+  // when the reply is rendered.
+  EndRequest(RequestOutcome::kOther, 0);
+  return Started::kParked;
+}
+
+void ProxyCore::Deliver(const net::ReplyTicket& ticket) {
+  loop_->CompleteParked(ticket, reply_.Flatten());
+  reply_.Clear();
+}
+
+void ProxyCore::OnOpDone(UpstreamOp* op) {
+  Request& r = static_cast<Request&>(*op);
+  uint32_t value_bytes = 0;
+  Render(r, &reply_, &value_bytes);
+  Deliver(r.ticket);
+  r.answered = true;
+  MirrorPoolCounters();
+  while (!parked_.empty()) {
+    Request& front = parked_.front();
+    if (!front.answered) {
+      if (front.verb != net::Verb::kStats) {
+        break;
+      }
+      AppendStats(&reply_);  // everything before the barrier is answered
+      Deliver(front.ticket);
+    }
+    parked_.pop_front();
+  }
 }
 
 void ProxyCore::HandleParseError(net::ParseErrorKind kind,

@@ -23,13 +23,22 @@
 //   * parse errors never touch an upstream: the reply comes from the same
 //     ErrorReply table the server uses.
 //
-// Handle() runs on the server's loop thread; upstream waits are bounded by
-// the pool's op timeout so one dead upstream cannot stall the loop longer
-// than (timeout × rungs). Counters land in the obs registry under proxy/*.
+// Requests that need upstreams never block the loop. Behind NetServer
+// (SetHandler offers the loop; AttachLoop accepts it) each one becomes an
+// UpstreamOp on the pool's shared pipelines and is parked: the server keeps
+// serving everything else, and the reply is delivered in request order when
+// the op's legs resolve — at worst one op timeout per rung after dispatch,
+// and only for the keys homed on a stalled upstream. `stats` parks as a
+// barrier: it answers once every earlier request has, and its connection
+// sends nothing newer meanwhile, so the block counts exactly the requests
+// before it. Handle(), the synchronous entry (a wrapping RequestHandler that
+// does not forward AttachLoop), runs the same op to completion on the pool's
+// own sockets. Counters land in the obs registry under proxy/*.
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 
 #include "src/net/request_handler.h"
@@ -66,7 +75,7 @@ struct ProxyStats {
   uint64_t protocol_errors = 0;
 };
 
-class ProxyCore final : public net::RequestHandler {
+class ProxyCore final : public net::RequestHandler, private OpListener {
  public:
   explicit ProxyCore(const ProxyCoreConfig& config, Obs* obs = nullptr,
                      EventTracer* tracer = nullptr);
@@ -78,6 +87,11 @@ class ProxyCore final : public net::RequestHandler {
   void set_telemetry(RequestTelemetry* telemetry) override {
     telemetry_ = telemetry;
   }
+  /// Puts the pool's upstream sockets on `loop` and opts into Start().
+  bool AttachLoop(net::EventLoop* loop) override;
+  Started Start(const net::TextRequest& req, int64_t now,
+                net::ResponseAssembler* out,
+                const net::ReplyTicket& ticket) override;
 
   /// Re-reads `path` and applies it to the pool (loop context only — wire
   /// this behind NetServer::SetReloadHandler). Returns false (keeping the
@@ -89,24 +103,52 @@ class ProxyCore final : public net::RequestHandler {
   const ProxyStats& stats() const { return stats_; }
 
  private:
-  void HandleRetrieve(const net::TextRequest& req,
-                      net::ResponseAssembler* out, RequestOutcome* outcome,
-                      uint32_t* value_bytes);
-  void HandleForwarded(const net::TextRequest& req,
-                       net::ResponseAssembler* out, RequestOutcome* outcome);
+  /// One request's upstream op plus what its reply needs.
+  struct Request : UpstreamOp {
+    net::Verb verb = net::Verb::kGet;
+    bool noreply = false;
+    bool answered = false;  // parked: the reply has been delivered
+    net::ReplyTicket ticket;
+  };
+
+  /// Counts the request and fills `r` with its upstream op. False for the
+  /// requests the proxy answers itself (stats, version, quit).
+  bool Prepare(const net::TextRequest& req, Request* r);
+  /// Appends a finished request's reply and counts its outcome.
+  RequestOutcome Render(const Request& r, net::ResponseAssembler* out,
+                        uint32_t* value_bytes);
+  RequestOutcome RenderRetrieve(const Request& r, net::ResponseAssembler* out,
+                                uint32_t* value_bytes);
+  RequestOutcome RenderForwarded(const Request& r,
+                                 net::ResponseAssembler* out);
+  /// The requests that touch no upstream. Returns false on quit.
+  bool AnswerLocally(const net::TextRequest& req, net::ResponseAssembler* out);
   void AppendStats(net::ResponseAssembler* out);
   /// Rebuilds the forwarded wire bytes for one request (storage payload and
   /// flags included, noreply stripped).
   std::string RebuildWire(const net::TextRequest& req) const;
 
+  /// Delivers a parked request's reply, then retires answered requests from
+  /// the front of parked_, answering stats barriers that reach it.
+  void OnOpDone(UpstreamOp* op) override;
+  void Deliver(const net::ReplyTicket& ticket);
+  /// Adds the pool's failure counters' growth to the obs registry.
+  void MirrorPoolCounters();
+  void BeginRequest(const net::TextRequest& req);
+  void EndRequest(RequestOutcome outcome, uint32_t value_bytes);
+
   ProxyCoreConfig config_;
   UpstreamPool pool_;
+  net::EventLoop* loop_ = nullptr;
   RequestTelemetry* telemetry_ = nullptr;
   ProxyStats stats_;
 
-  // Scratch reused across requests (loop-thread-only).
-  std::vector<std::string_view> keys_;
-  std::vector<KeyFetch> fetches_;
+  /// Parked requests, oldest first (stable addresses: the pool points at
+  /// them until they finish).
+  std::deque<Request> parked_;
+  net::ResponseAssembler reply_;  // a parked reply being rendered
+  uint64_t mirrored_absorbed_ = 0;
+  uint64_t mirrored_reconnects_ = 0;
 
   // proxy/* obs counters (null when obs is detached).
   Counter* obs_requests_ = nullptr;

@@ -6,24 +6,48 @@
 // absorption contract carries over unchanged: no transport failure ever
 // surfaces to the proxy's client — gets degrade primary → backup → miss,
 // writes degrade primary → backup → unavailable, and a failed upstream
-// records a breaker failure plus one capped-backoff reconnect attempt.
+// records a breaker failure and is redialled on its next use.
 //
-// What is new over FleetRouter is pipelined upstream multiplexing: MultiGet
-// scatters a request's keys across their owning upstreams and streams each
-// upstream's fetches through a bounded in-flight window (`window` commands
-// on the wire before the first reply is awaited), reassembling results in
-// request-key order. Cross-node multigets therefore cost max-over-nodes
-// round trips, not sum-over-keys.
+// The engine is non-blocking. Each upstream (every slot and the backup) has
+// one non-blocking socket and one pipeline shared by every request: a
+// request becomes an UpstreamOp whose legs — one command per key, one per
+// write, one per upstream for flush_all — queue on their upstreams, at most
+// `window` commands in flight on each, and the op finishes when its last leg
+// resolves. Replies are parsed incrementally by net::ReplyReader and matched
+// to legs in FIFO order, so a multiget across nodes costs max-over-nodes
+// round trips and concurrent requests share them. A leg resolves when:
+//
+//   * its reply arrives (the upstream's answer, on the rung that sent it);
+//   * its upstream fails — refused or timed-out connect, reset, EOF or a
+//     torn/unparseable reply mid-pipeline, or the oldest command in flight
+//     outliving `op_timeout_ms` — which records one breaker failure and
+//     moves every unresolved leg on that upstream one rung down: primary
+//     legs to the backup (if its breaker allows), backup legs to kNone.
+//     Legs answered before the failure keep their answers (resolved-prefix
+//     semantics).
+//
+// Who drives the sockets:
+//
+//   * Attached to a loop (AttachLoop — ProxyCore does this when NetServer
+//     offers its epoll loop), the sockets sit on that loop: EPOLLIN always,
+//     EPOLLOUT only while a write is short or a connect is pending, and the
+//     loop's Tick flushes queued commands and enforces deadlines. Start()
+//     returns at once and the op's listener hears when it finishes.
+//   * The synchronous calls (MultiGet, ForwardLineCommand, BroadcastFlush)
+//     start the same op and drive the same engine with poll(2) over the
+//     pool's own sockets until it finishes. They work with or without a
+//     loop.
 //
 // Membership is applied as whole documents (see membership.h): endpoints
 // that did not change keep their connection and breaker history; changed or
-// dead slots reset. The pool is loop-thread-only — no internal locking, by
-// design (it lives inside ProxyCore, which NetServer drives from its single
-// event loop).
+// dead slots reset, and their unresolved legs move to the backup. The pool
+// is single-threaded — no internal locking, by design (it lives inside
+// ProxyCore, which NetServer drives from its single event loop).
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,7 +55,8 @@
 #include <string_view>
 #include <vector>
 
-#include "src/net/client.h"
+#include "src/net/event_loop.h"
+#include "src/net/reply_reader.h"
 #include "src/obs/trace.h"
 #include "src/proxy/membership.h"
 #include "src/resilience/circuit_breaker.h"
@@ -49,13 +74,10 @@ struct UpstreamPoolConfig {
       .half_open_successes = 1,
       .probe_jitter = 0.25,
   };
-  net::ReconnectPolicy reconnect{.max_attempts = 1,
-                                 .initial_backoff_ms = 5,
-                                 .max_backoff_ms = 50,
-                                 .backoff_factor = 2.0};
-  /// Per-operation socket timeout (connect + send + recv deadlines).
+  /// Deadline for a connect, and for the oldest command in flight on an
+  /// upstream, before that upstream counts as failed.
   int op_timeout_ms = 250;
-  /// Per-upstream in-flight command window for pipelined multigets.
+  /// Per-upstream bound on commands in flight (sent, reply not yet read).
   int window = 32;
   uint64_t seed = 0;
 };
@@ -86,16 +108,70 @@ struct ForwardResult {
 
 struct UpstreamPoolStats {
   uint64_t absorbed_failures = 0;  // transport failures hidden by degradation
-  uint64_t reconnects = 0;
+  uint64_t reconnects = 0;         // successful redials after a failure
   uint64_t breaker_skips = 0;  // upstream legs skipped while a breaker is open
   uint64_t backup_served = 0;  // keys/writes that landed on the backup rung
   uint64_t unreachable = 0;    // keys/writes no rung could serve
 };
 
-class UpstreamPool {
+class UpstreamOp;
+
+/// Hears about ops that finish after Start() returned.
+class OpListener {
+ public:
+  virtual ~OpListener() = default;
+  virtual void OnOpDone(UpstreamOp* op) = 0;
+};
+
+/// One client request's upstream work. The caller owns it and must keep it
+/// at a fixed address until done() (the pool's legs point at it).
+class UpstreamOp {
+ public:
+  enum class Kind : uint8_t {
+    kGet,    // keys -> fetches
+    kLine,   // wire (one status-line command homed on keys[0]) -> forward
+    kFlush,  // wire (flush_all) to every upstream -> acked
+  };
+
+  /// A retrieval of `keys` (gets when `with_cas`).
+  void SetGet(std::vector<std::string> keys, bool with_cas);
+  /// A status-line command homed on `key`.
+  void SetLine(std::string key, std::string wire);
+  /// flush_all (with an optional delay) for every upstream.
+  void SetFlush(int64_t delay_s);
+
+  Kind kind() const { return kind_; }
+  bool done() const { return done_; }
+  const std::vector<std::string>& keys() const { return keys_; }
+  /// kGet: per-key results, request-key order.
+  const std::vector<KeyFetch>& fetches() const { return fetches_; }
+  /// kLine: the relayed status line and its rung.
+  const ForwardResult& forward() const { return forward_; }
+
+ private:
+  friend class UpstreamPool;
+
+  Kind kind_ = Kind::kGet;
+  bool with_cas_ = false;
+  bool done_ = false;
+  std::vector<std::string> keys_;
+  std::string wire_;
+  std::vector<KeyFetch> fetches_;
+  ForwardResult forward_;
+  size_t acked_ = 0;  // kFlush: upstreams that answered OK
+  size_t legs_left_ = 0;
+  size_t unreachable_ = 0;  // legs that ended on the kNone rung
+  OpListener* listener_ = nullptr;
+};
+
+class UpstreamPool final : public net::LoopClient {
  public:
   explicit UpstreamPool(const UpstreamPoolConfig& config,
                         EventTracer* tracer = nullptr);
+  ~UpstreamPool() override;
+
+  UpstreamPool(const UpstreamPool&) = delete;
+  UpstreamPool& operator=(const UpstreamPool&) = delete;
 
   /// Adds slot `slot` to the ring or re-points it. A changed endpoint resets
   /// the slot's connection and breaker; an identical endpoint is a no-op.
@@ -113,6 +189,16 @@ class UpstreamPool {
   /// `dead` slots are marked. Records the document's generation.
   void ApplyMembership(const FleetMembership& m);
 
+  /// Puts the upstream sockets on `loop` (call before any traffic).
+  void AttachLoop(net::EventLoop* loop);
+
+  /// Dispatches `op`'s legs. If every leg resolves without I/O, the op is
+  /// done() on return and `listener` is never called; otherwise the
+  /// listener hears once when it finishes.
+  void Start(UpstreamOp* op, OpListener* listener);
+  /// Start() then drive the engine until `op` is done.
+  void Run(UpstreamOp* op);
+
   /// Fetches `keys` (with cas values when `with_cas`), filling `out` in
   /// request-key order. Never fails: every key resolves to found / miss /
   /// unreachable-miss via the degradation ladder.
@@ -129,58 +215,100 @@ class UpstreamPool {
   /// Returns how many upstreams acknowledged with OK.
   size_t BroadcastFlush(int64_t delay_s);
 
+  // net::LoopClient
+  void OnFdReady(int fd, uint32_t events) override;
+  void Tick(int64_t now_us) override;
+  int64_t NextDeadlineUs() const override;
+
   const UpstreamPoolStats& stats() const { return stats_; }
   uint64_t generation() const { return generation_; }
   size_t node_count() const { return nodes_.size(); }
-  bool has_backup() const { return backup_.has_value(); }
+  bool has_backup() const { return backup_ != nullptr; }
   /// The slot owning `key` (for tests).
   std::optional<uint64_t> OwnerOf(std::string_view key) const;
 
  private:
-  struct Node {
-    std::string host;
-    uint16_t port = 0;
-    net::NetClient client;
-    std::unique_ptr<CircuitBreaker> breaker;
-    bool connected = false;
-    bool dead = false;  // membership said so; breaker held open via MarkDead
+  /// One command of an op on one upstream.
+  struct Leg {
+    UpstreamOp* op = nullptr;
+    uint32_t index = 0;       // key index (kGet)
+    ServedRung rung = ServedRung::kPrimary;
+    int64_t deadline_us = 0;  // set when the command enters the window
   };
 
-  /// One key of a multiget while it is in flight against a specific node.
-  struct PendingKey {
-    size_t index = 0;  // position in the request key list
-    std::string_view key;
+  enum class LinkState : uint8_t { kClosed, kConnecting, kUp, kFailed };
+
+  /// One upstream: endpoint, breaker and its pipelined connection.
+  struct Node {
+    uint64_t slot = 0;  // ~0 for the backup
+    std::string host;
+    uint16_t port = 0;
+    std::unique_ptr<CircuitBreaker> breaker;
+    bool dead = false;  // membership said so; breaker held open via MarkDead
+
+    LinkState state = LinkState::kClosed;
+    int fd = -1;
+    bool want_write = false;      // EPOLLOUT armed: connect or short write
+    bool redial = false;          // the next successful connect is a reconnect
+    int64_t connect_deadline_us = 0;
+    std::string out;              // commands not yet written
+    size_t out_sent = 0;
+    std::deque<Leg> inflight;     // in the window, awaiting replies (FIFO)
+    std::deque<Leg> queued;       // waiting for window space
+    net::ReplyReader reader;
   };
 
   SimTime Now() const;
-  bool EnsureConnected(Node& node);
-  /// Breaker failure + absorbed count + one reconnect attempt.
-  bool HandleTransportFailure(Node& node, uint64_t slot);
+  /// Calls `fn` on every primary, then the backup.
+  template <typename Fn>
+  void ForEachNode(Fn&& fn);
+  template <typename Fn>
+  void ForEachNode(Fn&& fn) const;
+  Node* NodeForFd(int fd);
   void TraceBreaker(uint64_t slot, BreakerState before, BreakerState after);
-  /// Pipelined fetch of `keys` from one node with the bounded window.
-  /// Returns false on transport failure; *resolved is how many keys got a
-  /// definitive answer (their KeyFetch entries in `out` are final).
-  bool FetchFromNode(Node& node, uint64_t slot,
-                     const std::vector<PendingKey>& keys, bool with_cas,
-                     ServedRung rung, size_t* resolved,
-                     std::vector<KeyFetch>* out);
-  /// Reads one single-key get reply (VALUE block + END, or bare END).
-  /// Returns false on transport failure or protocol violation.
-  bool ReadOneGetReply(Node& node, KeyFetch* fetch);
-  /// Sends `wire` and reads the status line from one node. nullopt on
-  /// transport failure.
-  std::optional<std::string> RoundTripLine(Node& node, const std::string& wire);
+  void RecordSuccess(Node& node);
+
+  /// Queues a leg on `node` (dialling it if needed).
+  void Enqueue(Node& node, Leg leg);
+  /// Moves queued legs into the window while it has room.
+  void Admit(Node& node, int64_t now_us);
+  void Connect(Node& node, int64_t now_us);
+  /// The connection is established (counts a redial as a reconnect).
+  void MarkUp(Node& node);
+  void SetWantWrite(Node& node, bool want);
+  /// Writes pending commands on every writable upstream.
+  void Pump();
+  void WriteOut(Node& node);
+  void ReadIn(Node& node);
+  void HandleReady(Node& node, uint32_t events);
+  void CheckDeadlines(int64_t now_us);
+  /// A transport failure: breaker failure, absorbed count, legs re-routed.
+  void FailNode(Node& node);
+  /// Closes the socket and re-routes its legs one rung down. No breaker
+  /// accounting (membership changes call this directly).
+  void ResetNode(Node& node);
+  /// Sends a leg one rung down after its upstream failed.
+  void Reroute(const Leg& leg);
+  /// Places a kGet / kLine leg on the backup, or resolves it unreachable.
+  void ToBackup(UpstreamOp* op, uint32_t index);
+  void ResolveUnreachable(UpstreamOp* op);
+  void LegDone(UpstreamOp* op);
+  /// Applies one upstream reply to the oldest leg in flight on `node`.
+  /// Returns false when the reply shows the upstream lost protocol sync.
+  bool Deliver(Node& node, const net::ReplyReader::Reply& reply);
 
   UpstreamPoolConfig config_;
   EventTracer* tracer_;
+  net::EventLoop* loop_ = nullptr;
 
   ConsistentHashRing ring_;
   std::map<uint64_t, Node> nodes_;
-  std::optional<Node> backup_;
+  std::unique_ptr<Node> backup_;
   UpstreamPoolStats stats_;
   uint64_t generation_ = 0;
   /// Wall anchor for the breakers' SimTime clock (proxy-relative micros).
   int64_t epoch_us_ = 0;
+  std::string read_buf_;
 };
 
 }  // namespace spotcache::proxy

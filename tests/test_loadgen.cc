@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -410,6 +411,58 @@ TEST(EngineTest, LoopbackSoakCompletesEverythingCleanly) {
 
   // Loopback at this trivial rate must achieve what it offers.
   EXPECT_GT(result.achieved_rps, 0.95 * result.offered_rps);
+}
+
+/// ServerCore behind a fixed per-request delay: a server that answers
+/// slower than the load generator offers.
+class SlowHandler final : public net::RequestHandler {
+ public:
+  SlowHandler(net::RequestHandler* inner, std::chrono::microseconds delay)
+      : inner_(inner), delay_(delay) {}
+  bool Handle(const net::TextRequest& req, int64_t now,
+              net::ResponseAssembler* out) override {
+    std::this_thread::sleep_for(delay_);
+    return inner_->Handle(req, now, out);
+  }
+  void HandleParseError(net::ParseErrorKind kind,
+                        net::ResponseAssembler* out) override {
+    inner_->HandleParseError(kind, out);
+  }
+
+ private:
+  net::RequestHandler* inner_;
+  std::chrono::microseconds delay_;
+};
+
+TEST(EngineTest, AchievedRateFallsBelowOfferedWhenServerSaturates) {
+  // 1000 rps offered for 0.5 s against a server that needs >= 2 ms per
+  // request (<= 500 rps): replies trail the schedule by >= 0.5 s. Dividing
+  // by the scheduled duration would report achieved == offered.
+  net::NetServer server((net::NetServerConfig()));
+  SlowHandler slow(&server.core(), std::chrono::milliseconds(2));
+  server.SetHandler(&slow);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+
+  EngineConfig config;
+  config.port = server.port();
+  config.connections = 2;
+  config.prefill = false;
+  config.drain_timeout_s = 5.0;
+  config.stream.seed = 3;
+  config.stream.keys.num_keys = 100;
+  config.stream.schedule.base_rate_rps = 1000.0;
+  config.stream.schedule.duration_s = 0.5;
+  const LoadGenResult result = RunOpenLoop(config);
+  server.Stop();
+  loop.join();
+
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_GT(result.completed, 0u);
+  EXPECT_GT(result.offered_rps, 800.0);
+  EXPECT_LT(result.achieved_rps, 0.75 * result.offered_rps)
+      << "completed " << result.completed << " of " << result.scheduled;
+  EXPECT_LT(result.achieved_rps, 600.0);
 }
 
 TEST(EngineTest, ConnectFailureReportsCleanly) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/net/client.h"
+#include "src/net/protocol.h"
 #include "src/net/reply_reader.h"
 
 namespace spotcache::net {
@@ -447,6 +448,109 @@ TEST(ReplyReader, UnparseableValueHeaderIsCorruption) {
   bool ok = true;
   FeedAll(reader, "VALUE k 0 notanumber\r\n", 32, &ok);
   EXPECT_FALSE(ok);
+}
+
+/// Feeds `bytes` in two chunks cut at `split` to a reader expecting
+/// `expects`; returns the statuses delivered and whether the stream parsed.
+std::vector<Status> FeedSplit(const std::vector<Expect>& expects,
+                              std::string_view bytes, size_t split,
+                              bool* ok) {
+  ReplyReader reader;
+  for (const Expect e : expects) {
+    reader.Push(e);
+  }
+  std::vector<Status> out;
+  const auto sink = [&out](Status s) { out.push_back(s); };
+  *ok = reader.Feed(bytes.substr(0, split), sink) &&
+        reader.Feed(bytes.substr(split), sink);
+  return out;
+}
+
+TEST(ReplyReader, StatusLineOutsideVocabularyIsRejectedAtEverySplit) {
+  // The status answered before the bad line stands; the bad line kills the
+  // stream however the bytes were cut. The second case is the torn reply a
+  // dying upstream leaks into a set's status: half a VALUE block.
+  const std::vector<Expect> two_lines = {Expect::kLine, Expect::kLine};
+  for (const std::string_view stream :
+       {"STORED\r\nGARBAGE\r\n", "STORED\r\nVALUE x 0 5\r\nab",
+        "STORED\r\n\r\n"}) {
+    for (size_t split = 0; split <= stream.size(); ++split) {
+      bool ok = true;
+      const auto got = FeedSplit(two_lines, stream, split, &ok);
+      EXPECT_FALSE(ok) << "split " << split << " of " << stream;
+      EXPECT_EQ(got, std::vector<Status>{Status::kHit})
+          << "split " << split << " of " << stream;
+    }
+  }
+}
+
+TEST(ReplyReader, OversizedValueIsRejectedAtEverySplit) {
+  const std::string at_cap =
+      "VALUE k 0 " + std::to_string(kMaxValueBytes) + "\r\n";
+  const std::string over_cap =
+      "VALUE k 0 " + std::to_string(kMaxValueBytes + 1) + "\r\n";
+  for (size_t split = 0; split <= over_cap.size(); ++split) {
+    bool ok = true;
+    FeedSplit({Expect::kRetrieval}, over_cap, split, &ok);
+    EXPECT_FALSE(ok) << "split " << split;
+  }
+  // The cap itself is legal: the reader now waits for the payload.
+  bool ok = false;
+  FeedSplit({Expect::kRetrieval}, at_cap, at_cap.size() / 2, &ok);
+  EXPECT_TRUE(ok);
+}
+
+TEST(ReplyReader, PayloadWithoutCrlfTerminatorIsCorruption) {
+  const std::string stream = "VALUE k 0 2\r\nabXYEND\r\n";
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    bool ok = true;
+    FeedSplit({Expect::kRetrieval}, stream, split, &ok);
+    EXPECT_FALSE(ok) << "split " << split;
+  }
+}
+
+TEST(ReplyReader, FeedRepliesDeliversContentAtEverySplit) {
+  // The payload spells protocol text and spans any cut.
+  const std::string stream =
+      "VALUE k 7 5 42\r\nab\r\nc\r\nEND\r\n"
+      "END\r\n"
+      "NOT_FOUND\r\n"
+      "SERVER_ERROR out of memory\r\n";
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    ReplyReader reader;
+    reader.Push(Expect::kRetrieval);
+    reader.Push(Expect::kRetrieval);
+    reader.Push(Expect::kLine);
+    reader.Push(Expect::kLine);
+    struct Got {
+      Status status;
+      std::string line;
+      uint32_t flags;
+      uint64_t cas;
+      std::string data;
+    };
+    std::vector<Got> got;
+    const auto sink = [&got](const ReplyReader::Reply& r) {
+      got.push_back({r.status, std::string(r.line), r.flags, r.cas,
+                     std::string(r.data)});
+    };
+    ASSERT_TRUE(reader.FeedReplies(std::string_view(stream).substr(0, split),
+                                   sink) &&
+                reader.FeedReplies(std::string_view(stream).substr(split),
+                                   sink))
+        << "split " << split;
+    ASSERT_EQ(got.size(), 4u) << "split " << split;
+    EXPECT_EQ(got[0].status, Status::kHit);
+    EXPECT_EQ(got[0].flags, 7u);
+    EXPECT_EQ(got[0].cas, 42u);
+    EXPECT_EQ(got[0].data, "ab\r\nc") << "split " << split;
+    EXPECT_EQ(got[1].status, Status::kMiss);
+    EXPECT_EQ(got[1].data, "");
+    EXPECT_EQ(got[2].status, Status::kMiss);
+    EXPECT_EQ(got[2].line, "NOT_FOUND");
+    EXPECT_EQ(got[3].status, Status::kError);
+    EXPECT_EQ(got[3].line, "SERVER_ERROR out of memory");
+  }
 }
 
 }  // namespace
