@@ -1,29 +1,23 @@
 // spotcache_fleet: the end-to-end chaos drill against real server processes.
 //
-//   spotcache_fleet --server=./spotcache_server [--seed=42] [--kills=2]
-//                   [--primaries=3] [--report=FILE] [--trace=FILE]
 //   spotcache_fleet --server=./spotcache_server --proxy=./spotcache_proxy
+//                   [--seed=42] [--kills=2] [--primaries=3]
+//                   [--report=FILE] [--trace=FILE]
 //
 // Spawns a fleet (N primaries + 1 burstable-style backup) of real
-// spotcache_server processes, drives paced Zipf traffic through the
-// client-side FleetRouter, and executes a (seed, scenario)-deterministic
-// kill schedule: revocation warning, SIGKILL at the deadline, replacement
-// launch, and wire-level warm-up from the backup — the paper's Figure 4
-// recovery cases (1a/1b/2) acted out with live sockets. The JSON report is
-// the recovery timeline: per-kill warning/kill/warm-up timestamps, hit-rate
-// windows, and router degradation counters.
-//
-// With --proxy the drill instead launches a standalone spotcache_proxy as
-// another supervised process, narrates every chaos action to it through the
-// fleet membership file + SIGHUP, and drives open-loop loadgen traffic
-// through the proxy — the paper's application-facing routing tier, end to
-// end on one box.
+// spotcache_server processes behind a supervised spotcache_proxy (the
+// paper's application-facing routing tier), drives open-loop Zipf traffic
+// through the proxy, and executes a (seed, scenario)-deterministic kill
+// schedule: revocation warning, SIGKILL at the deadline, replacement launch,
+// and wire-level warm-up from the backup — the paper's Figure 4 recovery
+// cases (1a/1b/2) acted out with live sockets. Every chaos action reaches
+// the proxy through the fleet membership file + SIGHUP. The JSON report is
+// the recovery timeline: per-kill warning/kill/warm-up timestamps,
+// client-observed hit-rate windows, and the proxy's counters.
 //
 // Flags:
 //   --server=PATH          spotcache_server binary (required)
-//   --proxy=PATH           spotcache_proxy binary: route traffic through a
-//                          standalone proxy tier instead of the in-process
-//                          router
+//   --proxy=PATH           spotcache_proxy binary (required)
 //   --connections=N        open-loop connections against the proxy (def. 4)
 //   --window=N             proxy per-upstream pipelined window (default 32)
 //   --seed=N               drives the kill schedule AND the traffic stream
@@ -40,7 +34,6 @@
 //   --warning-lead-ms=N    drill-scale two-minute notice (default 400)
 //   --boot-delay-ms=N      modeled replacement boot time (default 150)
 //   --warmup-mbps=F        warm-up token-bucket rate (default 4 MiB/s)
-//   --no-breakers          surface connection errors instead of degrading
 //   --grid                 sweep the (seed x storms x warning fate) drill
 //                          grid instead of one drill; markdown to stdout
 //   --grid-out=FILE        write the grid markdown table to FILE
@@ -49,9 +42,9 @@
 //   --help
 //
 // Exit codes: 0 = drill ran and the fleet recovered; 1 = drill failed to
-// run; 4 = drill ran but the hit rate never re-reached the recovery
-// threshold; 5 = proxy drill recovered but surfaced connection failures to
-// clients (failed conns or abandoned in-flight ops — the proxy's absorption
+// run; 2 = usage; 4 = drill ran but the hit rate never re-reached the
+// recovery threshold; 5 = drill recovered but surfaced connection failures
+// to clients (failed conns or abandoned in-flight ops — the proxy's absorption
 // contract broke). CI gates on 4 and 5 specifically.
 
 #include <cstdio>
@@ -72,7 +65,7 @@ constexpr int kExitConnErrors = 5;
 
 int Usage(int exit_code) {
   std::printf(
-      "usage: spotcache_fleet --server=PATH [--proxy=PATH]\n"
+      "usage: spotcache_fleet --server=PATH --proxy=PATH\n"
       "                       [--connections=N] [--window=N]\n"
       "                       [--seed=N] [--kills=N]\n"
       "                       [--primaries=N] [--missed-warning=F]\n"
@@ -81,14 +74,14 @@ int Usage(int exit_code) {
       "                       [--lead-in-ms=N] [--chaos-ms=N]\n"
       "                       [--recovery-ms=N] [--warning-lead-ms=N]\n"
       "                       [--boot-delay-ms=N] [--warmup-mbps=F]\n"
-      "                       [--no-breakers] [--grid] [--grid-out=FILE]\n"
+      "                       [--grid] [--grid-out=FILE]\n"
       "                       [--report=FILE] [--trace=FILE] [--help]\n"
       "\n"
       "Runs the fleet chaos drill: real spotcache_server processes, real\n"
       "SIGKILL revocations on a (seed, scenario)-deterministic schedule,\n"
-      "and wire-level warm-up of replacements from the backup. With\n"
-      "--proxy, traffic flows through a supervised spotcache_proxy that\n"
-      "follows the chaos via membership-file reloads.\n"
+      "and wire-level warm-up of replacements from the backup. Traffic\n"
+      "flows through a supervised spotcache_proxy that follows the chaos\n"
+      "via membership-file reloads.\n"
       "Exit: 0 recovered, 1 drill error, 4 ran but did not recover,\n"
       "5 recovered but surfaced connection failures to clients.\n");
   return exit_code;
@@ -148,8 +141,6 @@ int main(int argc, char** argv) {
           Duration::Millis(std::atoll(arg.c_str() + 16));
     } else if (arg.rfind("--warmup-mbps=", 0) == 0) {
       warmup_mbps = std::atof(arg.c_str() + 14);
-    } else if (arg == "--no-breakers") {
-      config.router.breakers_enabled = false;
     } else if (arg == "--grid") {
       grid = true;
     } else if (arg.rfind("--grid-out=", 0) == 0) {
@@ -171,6 +162,10 @@ int main(int argc, char** argv) {
     std::printf("--server=PATH is required\n\n");
     return Usage(2);
   }
+  if (config.proxy_binary.empty()) {
+    std::printf("--proxy=PATH is required\n\n");
+    return Usage(2);
+  }
 
   config.scenario.name = "fleet_drill";
   config.scenario.storm_count = kills;
@@ -184,10 +179,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fleet drill: %d primaries + backup, %d storm(s), seed %llu, "
-      "%.0f ops/s%s\n",
+      "%.0f ops/s via proxy\n",
       config.primaries, kills,
-      static_cast<unsigned long long>(config.seed), config.rate,
-      config.proxy_binary.empty() ? "" : ", via proxy");
+      static_cast<unsigned long long>(config.seed), config.rate);
   std::fflush(stdout);
 
   if (grid) {
@@ -237,22 +231,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report.total_ops), report.duration_s,
       report.pre_kill_hit_rate, report.final_hit_rate,
       report.recovered ? "yes" : "no");
-  if (report.via_proxy) {
-    const uint64_t conn_errors =
-        report.loadgen.failed_conns + report.loadgen.abandoned;
-    std::printf(
-        "proxy: offered %.0f rps, achieved %.0f rps, p99 %.2f ms, "
-        "client conn errors %llu (generation %llu)\n",
-        report.loadgen.offered_rps, report.loadgen.achieved_rps,
-        report.loadgen.latency.p99_us / 1000.0,
-        static_cast<unsigned long long>(conn_errors),
-        static_cast<unsigned long long>(report.membership_generation));
-    if (report.recovered && conn_errors > 0) {
-      std::fprintf(stderr,
-                   "proxy surfaced %llu connection failure(s) to clients\n",
-                   static_cast<unsigned long long>(conn_errors));
-      return kExitConnErrors;
-    }
+  const uint64_t conn_errors =
+      report.loadgen.failed_conns + report.loadgen.abandoned;
+  std::printf(
+      "proxy: offered %.0f rps, achieved %.0f rps, p99 %.2f ms, "
+      "client conn errors %llu (generation %llu)\n",
+      report.loadgen.offered_rps, report.loadgen.achieved_rps,
+      report.loadgen.latency.p99_us / 1000.0,
+      static_cast<unsigned long long>(conn_errors),
+      static_cast<unsigned long long>(report.membership_generation));
+  if (report.recovered && conn_errors > 0) {
+    std::fprintf(stderr,
+                 "proxy surfaced %llu connection failure(s) to clients\n",
+                 static_cast<unsigned long long>(conn_errors));
+    return kExitConnErrors;
   }
   return report.recovered ? 0 : kExitNoRecovery;
 }

@@ -1,14 +1,16 @@
 // The end-to-end fleet drill: real processes, real traffic, real kills.
 //
 // RunFleetDrill wires everything together: a ProcessSupervisor-spawned fleet
-// (N primaries + 1 backup), a FleetRouter carrying open-loop-style traffic
-// from a paced client thread (PR-6 loadgen key sampling: Zipf ranks, the
-// same FastZipf machinery the latency harness uses), and a FleetController
-// executing the (seed, scenario)-deterministic KillSchedule while the
-// traffic runs. The report is the paper's recovery story as measured data:
-// per-kill timelines (warning -> SIGKILL -> replacement ready -> warm-up
-// start/end), hit-rate windows across the whole drill, and the merged JSONL
-// event trace (control plane + router breaker transitions).
+// (N primaries + 1 backup), a supervised spotcache_proxy in front of it (the
+// only routing tier: ring placement, breakers and the primary -> backup ->
+// miss ladder all live in the proxy's UpstreamPool), open-loop loadgen
+// traffic aimed at the proxy, and a FleetController executing the
+// (seed, scenario)-deterministic KillSchedule while the traffic runs. Every
+// chaos action reaches the proxy as a membership-file generation + SIGHUP.
+// The report is the paper's recovery story as measured data: per-kill
+// timelines (warning -> SIGKILL -> replacement ready -> warm-up start/end),
+// client-observed hit-rate windows across the whole drill, the proxy's own
+// counters, and the control plane's JSONL event trace.
 //
 // Determinism boundary: the kill/launch *schedule* and the op stream are
 // pure functions of (seed, scenario, config); wall-clock timings, byte
@@ -23,7 +25,6 @@
 
 #include "src/fault/fault_plan.h"
 #include "src/fleet/fleet_controller.h"
-#include "src/fleet/fleet_router.h"
 #include "src/fleet/kill_schedule.h"
 #include "src/fleet/warmup_streamer.h"
 #include "src/loadgen/engine.h"
@@ -32,6 +33,9 @@ namespace spotcache::fleet {
 
 struct FleetDrillConfig {
   std::string server_binary;
+  /// The spotcache_proxy binary every request flows through (required: a
+  /// drill without it fails with an error).
+  std::string proxy_binary;
   uint64_t seed = 42;
   /// Storm events in this spec become real SIGKILLs; other fault families
   /// are control-loop-only and ignored by fleet mode.
@@ -51,7 +55,7 @@ struct FleetDrillConfig {
   /// hot/num_keys >~ 0.55 at these sizes.
   uint64_t hot_keys = 1200;
   size_t value_bytes = 96;
-  double rate = 2000.0;  // offered ops/sec from the traffic thread
+  double rate = 2000.0;  // offered ops/sec at the proxy
   double set_fraction = 0.1;
   /// Cache-aside client behavior: a get miss is followed by a set, so the
   /// fleet re-fills cold keys lost to a kill (how real traffic recovers).
@@ -70,39 +74,34 @@ struct FleetDrillConfig {
   double recovery_threshold = 0.9;
 
   WarmupConfig warmup;
-  FleetRouterConfig router;
-  /// Launch handshake/retry knobs (server_binary is filled in from above).
+  /// Launch handshake/retry knobs for the fleet and the proxy (the binary
+  /// path is filled in from above).
   SupervisorConfig supervisor;
 
-  // --- Proxy tier (optional). ---
-  /// When set, the drill launches this spotcache_proxy binary in front of
-  /// the fleet, narrates every chaos action to it through the membership
-  /// file + SIGHUP, and drives traffic through the proxy with the open-loop
-  /// loadgen engine instead of the in-process FleetRouter.
-  std::string proxy_binary;
-  /// Open-loop connections against the proxy (proxy mode only).
+  // --- Proxy tier. ---
+  /// Open-loop connections against the proxy.
   int proxy_connections = 4;
   /// Per-upstream pipelined in-flight window forwarded to the proxy.
   int proxy_window = 32;
-  /// Membership file path; empty derives a per-pid file under /tmp.
+  /// Membership file path; empty derives a per-pid file under /tmp. The
+  /// drill removes it before returning, on success and on error alike.
   std::string membership_path;
 };
 
-/// One hit-rate bucket of the traffic timeline.
+/// One hit-rate bucket of the client-observed traffic timeline. The proxy
+/// hides which rung served a hit; its own stats carry the primary/backup
+/// split.
 struct DrillWindow {
   int64_t start_us = 0;
   uint64_t gets = 0;
-  uint64_t hits = 0;         // primary hits
-  uint64_t backup_hits = 0;  // degraded hits via the backup
+  uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t sheds = 0;
-  uint64_t conn_errors = 0;
+  uint64_t sheds = 0;  // SERVER_ERROR replies (writes no rung could take)
   uint64_t sets = 0;
 
   double HitRate() const {
     return gets == 0 ? 0.0
-                     : static_cast<double>(hits + backup_hits) /
-                           static_cast<double>(gets);
+                     : static_cast<double>(hits) / static_cast<double>(gets);
   }
 };
 
@@ -113,7 +112,6 @@ struct FleetDrillReport {
   KillSchedule schedule;  // the pure, replayable plan
   std::vector<RecoveryRecord> recoveries;
   std::vector<DrillWindow> windows;
-  FleetRouterStats router_stats;
 
   double pre_kill_hit_rate = 0.0;
   double final_hit_rate = 0.0;
@@ -125,12 +123,9 @@ struct FleetDrillReport {
   uint64_t total_ops = 0;
   double duration_s = 0.0;
 
-  /// Merged JSONL: controller events then router events (each stream is
-  /// internally time-ordered; consumers sort on t_us).
+  /// The control plane's JSONL event trace, time-ordered.
   std::string trace_jsonl;
 
-  // --- Proxy mode only. ---
-  bool via_proxy = false;
   /// The client-side view through the proxy: open-loop latency, achieved
   /// vs offered, failed_conns/abandoned (the zero-surfaced-errors gate).
   loadgen::LoadGenResult loadgen;

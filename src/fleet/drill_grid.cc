@@ -63,12 +63,12 @@ std::vector<DrillGridRow> RunDrillGrid(const FleetDrillConfig& base,
     row.report = RunFleetDrill(config);
 
     const double primaries = static_cast<double>(config.primaries);
-    row.fleet_cost_hr = primaries * cost.spot_hr + cost.burstable_hr +
-                        (row.report.via_proxy ? cost.proxy_hr : 0.0);
+    row.fleet_cost_hr =
+        primaries * cost.spot_hr + cost.burstable_hr + cost.proxy_hr;
     // The on-demand baseline needs no backup tier (on-demand nodes are not
     // revoked), but a proxy tier fronts either fleet.
-    row.on_demand_cost_hr = (primaries + 1.0) * cost.on_demand_hr +
-                            (row.report.via_proxy ? cost.proxy_hr : 0.0);
+    row.on_demand_cost_hr =
+        (primaries + 1.0) * cost.on_demand_hr + cost.proxy_hr;
     row.savings_fraction =
         row.on_demand_cost_hr <= 0.0
             ? 0.0
@@ -87,15 +87,10 @@ std::vector<DrillGridRow> RunDrillGrid(const FleetDrillConfig& base,
 }
 
 std::string RenderDrillGridMarkdown(const std::vector<DrillGridRow>& rows) {
-  const bool via_proxy = !rows.empty() && rows[0].report.via_proxy;
-  std::string out;
-  out += via_proxy
-             ? "| cell | $/h (spot+backup+proxy) | $/h (on-demand) | saved | "
-               "pre-kill hit | final hit | recovered | p99 (ms) | "
-               "conn errors |\n|---|---|---|---|---|---|---|---|---|\n"
-             : "| cell | $/h (spot+backup) | $/h (on-demand) | saved | "
-               "pre-kill hit | final hit | recovered | conn errors |\n"
-               "|---|---|---|---|---|---|---|---|\n";
+  std::string out =
+      "| cell | $/h (spot+backup+proxy) | $/h (on-demand) | saved | "
+      "pre-kill hit | final hit | recovered | p99 (ms) | conn errors |\n"
+      "|---|---|---|---|---|---|---|---|---|\n";
   for (const DrillGridRow& row : rows) {
     const FleetDrillReport& r = row.report;
     out += "| " + row.cell.label + " | " + Fmt("%.3f", row.fleet_cost_hr) +
@@ -112,15 +107,9 @@ std::string RenderDrillGridMarkdown(const std::vector<DrillGridRow>& rows) {
     } else {
       out += "no";
     }
-    if (via_proxy) {
-      const uint64_t conn_errors =
-          r.loadgen.failed_conns + r.loadgen.abandoned;
-      out += " | " + Fmt("%.2f", r.loadgen.latency.p99_us / 1000.0) + " | " +
-             std::to_string(conn_errors);
-    } else {
-      out += " | " + std::to_string(r.router_stats.conn_errors_surfaced);
-    }
-    out += " |\n";
+    const uint64_t conn_errors = r.loadgen.failed_conns + r.loadgen.abandoned;
+    out += " | " + Fmt("%.2f", r.loadgen.latency.p99_us / 1000.0) + " | " +
+           std::to_string(conn_errors) + " |\n";
   }
   return out;
 }

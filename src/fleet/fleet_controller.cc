@@ -30,8 +30,9 @@ constexpr std::string_view kMarket = "fleet";
 }  // namespace
 
 FleetController::FleetController(const FleetControllerConfig& config,
-                                 FleetView* view, EventTracer* tracer)
-    : config_(config), view_(view), tracer_(tracer),
+                                 MembershipPublisher* publisher,
+                                 EventTracer* tracer)
+    : config_(config), publisher_(publisher), tracer_(tracer),
       supervisor_(config.supervisor) {}
 
 FleetController::~FleetController() { StopFleet(); }
@@ -62,7 +63,7 @@ bool FleetController::StartFleet(std::string* error) {
   }
   backup_ = backup.process;
   backup_started_ = true;
-  view_->SetBackup("127.0.0.1", backup_.port);
+  publisher_->SetBackup("127.0.0.1", backup_.port);
 
   primaries_.clear();
   for (int slot = 0; slot < config_.primaries; ++slot) {
@@ -74,7 +75,7 @@ bool FleetController::StartFleet(std::string* error) {
       return false;
     }
     primaries_.push_back(r.process);
-    view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", r.process.port);
+    publisher_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", r.process.port);
     if (tracer_ != nullptr) {
       tracer_->Launched(SimTime(), static_cast<uint64_t>(slot), kMarket,
                         "process", r.process.label);
@@ -169,7 +170,7 @@ void FleetController::ExecuteAction(const KillAction& action,
 
   if (ready_before_kill) {
     // Warm replacement takes over immediately: swap the slot's endpoint.
-    view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1",
+    publisher_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1",
                      replacement.port);
     primaries_[slot] = replacement;
     record->new_port = replacement.port;
@@ -177,9 +178,10 @@ void FleetController::ExecuteAction(const KillAction& action,
     return;
   }
 
-  // Dead slot until the replacement is warm: force the breaker open so
-  // traffic degrades to the backup instead of discovering the corpse.
-  view_->MarkDead(static_cast<uint64_t>(slot));
+  // Dead slot until the replacement is warm: the proxy forces the breaker
+  // open so traffic degrades to the backup instead of discovering the
+  // corpse.
+  publisher_->MarkDead(static_cast<uint64_t>(slot));
 
   // --- Case 2: no warning — the spawn starts only now. ---
   if (!action.warned) {
@@ -233,7 +235,7 @@ void FleetController::ExecuteAction(const KillAction& action,
   }
 
   // Only now does the replacement join the ring (backup-serves-until-warm).
-  view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", replacement.port);
+  publisher_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", replacement.port);
   primaries_[slot] = replacement;
   record->new_port = replacement.port;
   record->replacement_ok = true;

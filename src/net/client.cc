@@ -11,8 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <vector>
+
+#include "src/net/reply_reader.h"
 
 namespace spotcache::net {
 
@@ -35,13 +36,6 @@ std::vector<std::string_view> Tokens(std::string_view line) {
     }
   }
   return out;
-}
-
-template <typename Int>
-bool ToInt(std::string_view tok, Int* out) {
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), *out);
-  return ec == std::errc() && ptr == tok.data() + tok.size();
 }
 
 NetClientError ClassifyErrno(int err) {
@@ -326,35 +320,37 @@ bool NetClient::Replace(std::string_view key, std::string_view value,
 
 NetClient::GetResult NetClient::Retrieve(std::string_view verb,
                                          std::string_view key) {
+  if (!SendRaw(std::string(verb) + " " + std::string(key) + "\r\n")) {
+    return {};
+  }
   GetResult result;
-  std::string cmd = std::string(verb) + " " + std::string(key) + "\r\n";
-  if (!SendRaw(cmd)) {
-    return result;
+  ReplyReader reader;
+  reader.Push(ReplyReader::Expect::kRetrieval);
+  const auto sink = [&result](const ReplyReader::Reply& reply) {
+    if (reply.status == ReplyReader::Status::kHit) {
+      result.found = true;
+      result.value.assign(reply.data);
+      result.flags = reply.flags;
+      result.cas = reply.cas;
+    }
+  };
+  while (reader.pending() > 0) {
+    if (rpos_ == rbuf_.size() && !FillMore()) {
+      return {};
+    }
+    size_t used = 0;
+    const bool ok = reader.FeedReplies(
+        std::string_view(rbuf_).substr(rpos_), sink, &used);
+    rpos_ += used;
+    if (!ok) {
+      // A torn or unparseable reply: nothing in it is a hit, and the stream
+      // cannot be resynchronised. Typed as kClosed so callers reconnect.
+      Close();
+      RecordError(NetClientError::kClosed, 0);
+      return {};
+    }
   }
-  for (;;) {
-    auto line = ReadLine();
-    if (!line.has_value() || *line == "END") {
-      return result;
-    }
-    const auto toks = Tokens(*line);
-    if (toks.size() < 4 || toks[0] != "VALUE") {
-      return result;  // protocol error; caller sees found = false
-    }
-    uint64_t bytes = 0;
-    if (!ToInt(toks[2], &result.flags) || !ToInt(toks[3], &bytes)) {
-      return result;
-    }
-    if (toks.size() >= 5) {
-      ToInt(toks[4], &result.cas);
-    }
-    auto data = ReadBytes(bytes + 2);  // payload + CRLF
-    if (!data.has_value()) {
-      return result;
-    }
-    data->resize(bytes);
-    result.value = std::move(*data);
-    result.found = true;
-  }
+  return result;
 }
 
 NetClient::GetResult NetClient::Get(std::string_view key) {

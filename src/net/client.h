@@ -5,11 +5,15 @@
 //
 // Transport failures are surfaced as typed NetClientError values (refused /
 // reset / pipe / timeout / peer-closed), which is what lets callers like the
-// FleetRouter distinguish "the process was SIGKILLed under me" (reset or
-// closed: trip the breaker, reconnect to the replacement) from "the server is
-// slow" (timeout: back off). Reconnect() re-dials the last Connect() target
-// with capped exponential backoff, so a client can ride through a supervisor
-// respawning the process behind its endpoint.
+// warm-up streamer distinguish "the process was SIGKILLed under me" (reset or
+// closed: reconnect to the replacement) from "the server is slow" (timeout:
+// back off). Reconnect() re-dials the last Connect() target with capped
+// exponential backoff, so a client can ride through a supervisor respawning
+// the process behind its endpoint.
+//
+// get/gets replies are parsed by ReplyReader, the same strict parser the
+// proxy and the loadgen use: a VALUE whose payload is not followed by CRLF,
+// or any other torn reply, is never a hit, and it closes the connection.
 //
 // For conformance testing there is also a raw path: SendRaw() +
 // RoundTripRaw(), which appends a `version` sentinel so arbitrary (even
@@ -35,7 +39,8 @@ enum class NetClientError : uint8_t {
   kTimeout,     // SO_RCVTIMEO / SO_SNDTIMEO expired (EAGAIN / ETIMEDOUT)
   kReset,       // ECONNRESET: the peer was killed or dropped us mid-stream
   kPipe,        // EPIPE on send: writing into a dead connection
-  kClosed,      // orderly FIN from the peer (recv returned 0)
+  kClosed,      // orderly FIN from the peer (recv returned 0), or a reply
+                // too torn to parse, after which the client drops the stream
   kNotConnected,// operation attempted with no socket
   kOther,       // anything else (errno preserved in last_errno())
 };

@@ -131,9 +131,13 @@ size_t ReplyReader::ConsumePayload(std::string_view bytes, bool capture) {
 
 template <typename Emit>
 bool ReplyReader::FeedImpl(std::string_view bytes, bool capture,
-                           const Emit& emit) {
+                           const Emit& emit, size_t* consumed) {
+  const size_t total = bytes.size();
   Reply reply;
   while (!bytes.empty()) {
+    if (consumed != nullptr && pending_.empty()) {
+      break;
+    }
     if (skip_bytes_ > 0) {
       const size_t used = ConsumePayload(bytes, capture);
       if (used == std::string_view::npos) {
@@ -144,8 +148,12 @@ bool ReplyReader::FeedImpl(std::string_view bytes, bool capture,
     }
     const size_t nl = bytes.find('\n');
     if (nl == std::string_view::npos) {
-      partial_.append(bytes);
-      return partial_.size() <= kMaxReplyLine;
+      partial_.append(bytes);  // every byte is used, held for the next feed
+      bytes.remove_prefix(bytes.size());
+      if (partial_.size() > kMaxReplyLine) {
+        return false;
+      }
+      break;
     }
     std::string_view line;
     if (partial_.empty()) {
@@ -167,16 +175,21 @@ bool ReplyReader::FeedImpl(std::string_view bytes, bool capture,
     partial_.clear();
     bytes.remove_prefix(nl + 1);
   }
+  if (consumed != nullptr) {
+    *consumed = total - bytes.size();
+  }
   return true;
 }
 
 bool ReplyReader::Feed(std::string_view bytes, const Sink& sink) {
-  return FeedImpl(bytes, /*capture=*/false,
-                  [&sink](const Reply& r) { sink(r.status); });
+  return FeedImpl(
+      bytes, /*capture=*/false, [&sink](const Reply& r) { sink(r.status); },
+      /*consumed=*/nullptr);
 }
 
-bool ReplyReader::FeedReplies(std::string_view bytes, const ReplySink& sink) {
-  return FeedImpl(bytes, /*capture=*/true, sink);
+bool ReplyReader::FeedReplies(std::string_view bytes, const ReplySink& sink,
+                              size_t* consumed) {
+  return FeedImpl(bytes, /*capture=*/true, sink, consumed);
 }
 
 }  // namespace spotcache::net

@@ -13,7 +13,8 @@
 //     byte count without copying.
 //   * FeedReplies() also delivers the content — the status line, or the
 //     VALUE block's flags, cas and payload — for callers that relay replies
-//     (the proxy's upstream legs).
+//     (the proxy's upstream legs) or hand them to an application (NetClient's
+//     get/gets).
 //
 // Either way the reader is strict, because a relaying caller must never pass
 // a torn reply on: a status line outside the memcached vocabulary, a VALUE
@@ -75,13 +76,20 @@ class ReplyReader {
 
   /// Feed() for relaying callers: the sink receives each reply's content.
   /// Payloads are buffered across chunks until the reply completes.
-  bool FeedReplies(std::string_view bytes, const ReplySink& sink);
+  ///
+  /// With `consumed` set, feeding stops as soon as no expectation is
+  /// pending, and *consumed receives how many bytes were used; the rest
+  /// belong to whatever the caller reads next (a blocking client sharing
+  /// one receive buffer across round trips).
+  bool FeedReplies(std::string_view bytes, const ReplySink& sink,
+                   size_t* consumed = nullptr);
 
  private:
   enum class LineResult : uint8_t { kCorrupt, kMore, kDone };
 
   template <typename Emit>
-  bool FeedImpl(std::string_view bytes, bool capture, const Emit& emit);
+  bool FeedImpl(std::string_view bytes, bool capture, const Emit& emit,
+                size_t* consumed);
   /// Consumes one complete line (CRLF stripped). On kDone, *reply holds the
   /// finished reply's status and line.
   LineResult ConsumeLine(std::string_view line, bool capture, Reply* reply);

@@ -1,12 +1,14 @@
 // UpstreamPool: the proxy's server-side fan-out to the cache fleet.
 //
-// Keys are homed on consistent-hash slots exactly like the in-process
-// FleetRouter (same ring construction, same HashString, weight 1.0 per
-// slot), and each slot is fronted by a src/resilience CircuitBreaker. The
-// absorption contract carries over unchanged: no transport failure ever
-// surfaces to the proxy's client — gets degrade primary → backup → miss,
-// writes degrade primary → backup → unavailable, and a failed upstream
-// records a breaker failure and is redialled on its next use.
+// This is the one router on the wire: it owns ring placement, the breakers
+// and the degradation ladder. Keys are homed on consistent-hash slots
+// (HashString on the key, weight 1.0 per slot; MembershipPublisher mirrors
+// the same ring to pick warm-up keys), and each slot is fronted by a
+// src/resilience CircuitBreaker. The absorption contract: no transport
+// failure ever surfaces to the proxy's client — gets degrade primary →
+// backup → miss, writes degrade primary → backup → unavailable, and a
+// failed upstream records a breaker failure and is redialled on its next
+// use.
 //
 // The engine is non-blocking. Each upstream (every slot and the backup) has
 // one non-blocking socket and one pipeline shared by every request: a

@@ -121,6 +121,53 @@ TEST(NetClientErrors, GetSeesServerErrorAsMissAndConnectionSurvives) {
   EXPECT_EQ(again.value, "ok");
 }
 
+// A VALUE payload must be followed by exactly CRLF. "okXY" under a 2-byte
+// header is a torn value: the client must not cut it down to "ok" and call
+// it a hit.
+TEST(NetClientErrors, PayloadWithoutCrlfIsNotAHit) {
+  ScriptedServer server([](int fd) {
+    ReadUntil(fd, "\r\n");
+    WriteAll(fd, "VALUE k 0 2\r\nokXY\r\nEND\r\n");
+  });
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000));
+  const auto got = client.Get("k");
+  EXPECT_FALSE(got.found);
+  EXPECT_TRUE(got.value.empty());
+  // The stream cannot be resynchronised after a torn reply; the failure is
+  // typed, so a reconnecting caller does not mistake it for a clean miss.
+  EXPECT_FALSE(client.connected());
+  EXPECT_NE(client.last_error(), NetClientError::kNone);
+}
+
+// A reply line cut across two recv() calls is one line, not corruption:
+// first the END terminator arrives as "EN" + "D\r\n", then the next reply's
+// VALUE header is cut. The connection stays usable throughout.
+TEST(NetClientErrors, ReplyLinesSplitAcrossReadsAreStillHits) {
+  ScriptedServer server([](int fd) {
+    ReadUntil(fd, "\r\n");
+    WriteAll(fd, "VALUE k 0 2\r\nok\r\nEN");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WriteAll(fd, "D\r\n");
+    ReadUntil(fd, "\r\n");
+    WriteAll(fd, "VALUE j 7 ");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WriteAll(fd, "3\r\nyes\r\nEND\r\n");
+  });
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000));
+  const auto got = client.Get("k");
+  EXPECT_TRUE(got.found);
+  EXPECT_EQ(got.value, "ok");
+  EXPECT_EQ(client.last_error(), NetClientError::kNone);
+  ASSERT_TRUE(client.connected());
+  const auto next = client.Get("j");
+  EXPECT_TRUE(next.found);
+  EXPECT_EQ(next.value, "yes");
+  EXPECT_EQ(next.flags, 7u);
+  EXPECT_TRUE(client.connected());
+}
+
 TEST(NetClientErrors, SetSeesServerErrorAsFailure) {
   ScriptedServer server([](int fd) {
     ReadUntil(fd, "v\r\n");  // command line + payload
@@ -241,8 +288,8 @@ TEST(NetClientErrors, SendToStalledPeerFailsInsteadOfSpinning) {
 
 // ---------------------------------------------------------------------------
 // Typed transport errors + Reconnect() (fleet-mode satellite): the failure
-// taxonomy the FleetRouter branches on when a server process is SIGKILLed
-// behind a live connection.
+// taxonomy the warm-up streamer branches on when a server process is
+// SIGKILLed behind a live connection.
 
 TEST(NetClientTypedErrors, ConnectRefusedIsTyped) {
   // Grab an ephemeral port and close it so nothing is listening there.
@@ -550,6 +597,35 @@ TEST(ReplyReader, FeedRepliesDeliversContentAtEverySplit) {
     EXPECT_EQ(got[2].line, "NOT_FOUND");
     EXPECT_EQ(got[3].status, Status::kError);
     EXPECT_EQ(got[3].line, "SERVER_ERROR out of memory");
+  }
+}
+
+// With `consumed`, a feed reports every byte it used — a reply line cut at
+// the end of a chunk included — and stops at the end of the pending reply,
+// leaving the next reply's bytes to the caller.
+TEST(ReplyReader, ConsumedCountsBytesAtEverySplit) {
+  const std::string reply = "VALUE k 0 2\r\nok\r\nEND\r\n";
+  const std::string stream = reply + "END\r\n";  // the next reply
+  for (size_t split = 0; split <= reply.size(); ++split) {
+    ReplyReader reader;
+    reader.Push(Expect::kRetrieval);
+    std::string data;
+    int replies = 0;
+    const auto sink = [&](const ReplyReader::Reply& r) {
+      ++replies;
+      data.assign(r.data);
+    };
+    size_t used = 99;
+    ASSERT_TRUE(reader.FeedReplies(std::string_view(stream).substr(0, split),
+                                   sink, &used))
+        << "split " << split;
+    EXPECT_EQ(used, split) << "split " << split;
+    ASSERT_TRUE(reader.FeedReplies(std::string_view(stream).substr(split),
+                                   sink, &used))
+        << "split " << split;
+    EXPECT_EQ(used, reply.size() - split) << "split " << split;
+    EXPECT_EQ(replies, 1) << "split " << split;
+    EXPECT_EQ(data, "ok") << "split " << split;
   }
 }
 

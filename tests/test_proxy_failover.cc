@@ -444,10 +444,21 @@ TEST(ProxyFailover, WritesDegradeToBackupThenReportUnreachable) {
   EXPECT_EQ(check.Get("wk").value, "hi");
   check.Close();
 
-  // With every rung unreachable the pool reports it — the one case the
-  // proxy's client is allowed to see (as SERVER_ERROR on a write).
+  // With every rung unreachable a get is a plain miss: no transport error
+  // reaches the caller, but the failure is counted as absorbed.
   UpstreamPool dead_pool(FastPoolConfig(), nullptr);
   dead_pool.SetNode(0, "127.0.0.1", RefusedPort());
+  std::vector<std::string_view> keys = {"wk"};
+  std::vector<KeyFetch> out;
+  dead_pool.MultiGet(keys, /*with_cas=*/false, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].found);
+  EXPECT_EQ(out[0].rung, ServedRung::kNone);
+  EXPECT_TRUE(out[0].data.empty());
+  EXPECT_GT(dead_pool.stats().absorbed_failures, 0u);
+
+  // A write is the one case the proxy's client is allowed to see (as
+  // SERVER_ERROR): the pool reports it.
   const auto lost =
       dead_pool.ForwardLineCommand("wk", "set wk 0 0 2\r\nhi\r\n");
   EXPECT_FALSE(lost.line.has_value());
