@@ -20,7 +20,8 @@ void BM_LruPut(benchmark::State& state) {
   LruCache<uint64_t, uint64_t> cache(64ull << 20);
   uint64_t key = 0;
   for (auto _ : state) {
-    cache.Put(key++, key, 4096);
+    cache.Put(key, key, 4096);
+    ++key;
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -21,6 +21,13 @@
 // hook pays a direct (inlineable) call instead of a std::function dispatch.
 // The default instantiation keeps the original std::function-based
 // SetEvictionCallback API, so existing callers compile unchanged.
+//
+// Transparent lookup: a Hash that names `is_transparent` lets every keyed
+// call take any type the hash accepts and K compares equal to — the
+// server's ItemStore looks std::string keys up by std::string_view, so a
+// lookup builds no key. Other hashes keep `const K&` semantics (the argument
+// converts to K at the call). Find() is the promoting lookup that hands back
+// the stored value in place; Get() is the copying wrapper over it.
 
 #pragma once
 
@@ -56,6 +63,13 @@ class LruCache {
 
   static constexpr uint32_t kNil = 0xffffffffu;
 
+  static constexpr bool kTransparent =
+      requires { typename Hash::is_transparent; };
+  /// The key type a lookup probes with: the caller's own type under a
+  /// transparent Hash, else K (so the probe never compares mixed types).
+  template <typename Q>
+  using LookupKey = std::conditional_t<kTransparent, Q, K>;
+
   struct Slot {
     Entry entry;
     uint32_t prev = kNil;  // toward MRU
@@ -80,12 +94,14 @@ class LruCache {
 
   /// Inserts or overwrites; evicts LRU entries until the item fits. Returns
   /// false (and stores nothing) if `bytes` alone exceeds the capacity.
-  bool Put(const K& key, V value, size_t bytes) {
+  template <typename Q>
+  bool Put(const Q& key, V value, size_t bytes) {
     if (bytes > capacity_bytes_) {
       return false;
     }
+    const LookupKey<Q>& k = key;
     if (!buckets_.empty()) {
-      const size_t b = FindBucket(key);
+      const size_t b = FindBucket(k);
       if (buckets_[b] != kNil) {
         // Overwrite in place: adjust byte accounting, splice to MRU, then
         // evict as needed. Same victims as the reference's erase+reinsert —
@@ -104,42 +120,61 @@ class LruCache {
     EvictUntilFits(bytes);
     const uint32_t s = AllocSlot();
     Slot& slot = slots_[s];
-    slot.entry.key = key;
+    slot.entry.key = K(k);
     slot.entry.value = std::move(value);
     slot.entry.bytes = bytes;
     LinkFront(s);
-    InsertIndex(key, s);
+    InsertIndex(s);
     bytes_used_ += bytes;
     ++size_;
     return true;
   }
 
-  /// Looks the key up and promotes it to most-recently-used.
-  std::optional<V> Get(const K& key) {
-    const uint32_t s = FindSlot(key);
+  /// Looks the key up and promotes it to most-recently-used, counting a hit
+  /// or miss. The pointer is valid until the next mutating call (the arena
+  /// may move on growth).
+  template <typename Q>
+  V* Find(const Q& key) {
+    const uint32_t s = FindSlot<LookupKey<Q>>(key);
     if (s == kNil) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
     MoveToFront(s);
-    return slots_[s].entry.value;
+    return &slots_[s].entry.value;
   }
 
-  /// Lookup without promotion or stats. The pointer is valid until the next
-  /// mutating call (the arena may move on growth).
-  const V* Peek(const K& key) const {
-    const uint32_t s = FindSlot(key);
+  /// Find() returning a copy of the value.
+  template <typename Q>
+  std::optional<V> Get(const Q& key) {
+    const V* value = Find(key);
+    return value != nullptr ? std::optional<V>(*value) : std::nullopt;
+  }
+
+  /// Lookup without promotion or stats; the pointer lives as Find()'s does.
+  template <typename Q>
+  V* Peek(const Q& key) {
+    const uint32_t s = FindSlot<LookupKey<Q>>(key);
+    return s == kNil ? nullptr : &slots_[s].entry.value;
+  }
+  template <typename Q>
+  const V* Peek(const Q& key) const {
+    const uint32_t s = FindSlot<LookupKey<Q>>(key);
     return s == kNil ? nullptr : &slots_[s].entry.value;
   }
 
-  bool Contains(const K& key) const { return FindSlot(key) != kNil; }
+  template <typename Q>
+  bool Contains(const Q& key) const {
+    return FindSlot<LookupKey<Q>>(key) != kNil;
+  }
 
-  bool Erase(const K& key) {
+  template <typename Q>
+  bool Erase(const Q& key) {
     if (buckets_.empty()) {
       return false;
     }
-    const size_t b = FindBucket(key);
+    const size_t b = FindBucket<LookupKey<Q>>(key);
     if (buckets_[b] == kNil) {
       return false;
     }
@@ -256,7 +291,8 @@ class LruCache {
 
   // ---- Open-addressing index -------------------------------------------
 
-  size_t BucketOf(const K& key) const {
+  template <typename Q>
+  size_t BucketOf(const Q& key) const {
     // Spread the hash so power-of-two masking is safe even for identity
     // std::hash implementations (Fibonacci multiplicative mixing).
     const uint64_t h = static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
@@ -264,7 +300,8 @@ class LruCache {
   }
 
   /// Bucket holding `key`, or the empty bucket where it would be inserted.
-  size_t FindBucket(const K& key) const {
+  template <typename Q>
+  size_t FindBucket(const Q& key) const {
     const size_t mask = buckets_.size() - 1;
     size_t b = BucketOf(key);
     while (buckets_[b] != kNil && !(slots_[buckets_[b]].entry.key == key)) {
@@ -273,7 +310,8 @@ class LruCache {
     return b;
   }
 
-  uint32_t FindSlot(const K& key) const {
+  template <typename Q>
+  uint32_t FindSlot(const Q& key) const {
     if (buckets_.empty()) {
       return kNil;
     }
@@ -281,11 +319,11 @@ class LruCache {
     return buckets_[b];
   }
 
-  void InsertIndex(const K& key, uint32_t s) {
+  void InsertIndex(uint32_t s) {
     if (buckets_.empty() || (size_ + 1) * 4 > buckets_.size() * 3) {
       Rehash(buckets_.empty() ? kMinBuckets : buckets_.size() * 2);
     }
-    buckets_[FindBucket(key)] = s;
+    buckets_[FindBucket(slots_[s].entry.key)] = s;
   }
 
   /// Knuth's backward-shift deletion: closes the probe-chain hole left at

@@ -18,11 +18,12 @@
 // Handlers run on the server's loop thread only — no locking required. A
 // synchronous Handle() has the loop to itself until it returns, so it must
 // not wait on the network. A handler that does (the proxy) parks instead:
-// AttachLoop() returning true switches the server to Start(), which may
-// return kParked and deliver the reply later through the loop
-// (event_loop.h) while the server keeps serving every other request. Both
-// hooks are defaulted, so a handler that only overrides Handle() — or wraps
-// another handler as a plain RequestHandler* — stays synchronous.
+// the server offers it the loop through AttachLoop() and runs every request
+// through Start(), which may return kParked and deliver the reply later
+// through the loop (event_loop.h) while the server keeps serving every other
+// request. Both hooks are defaulted — AttachLoop() ignores the loop and
+// Start() calls Handle() — so a handler that only overrides Handle(), or
+// wraps another handler as a plain RequestHandler*, stays synchronous.
 
 #pragma once
 
@@ -62,16 +63,13 @@ class RequestHandler {
   /// Attaches the serving-path telemetry (non-owning; may be null).
   virtual void set_telemetry(RequestTelemetry* telemetry) { (void)telemetry; }
 
-  /// Offers the server's loop (called by NetServer::SetHandler). Returning
-  /// true opts into Start(); the default stays synchronous.
-  virtual bool AttachLoop(EventLoop* loop) {
-    (void)loop;
-    return false;
-  }
+  /// Offers the server's loop (called by NetServer::SetHandler). The
+  /// default ignores it.
+  virtual void AttachLoop(EventLoop* loop) { (void)loop; }
 
-  /// Begins one request (only called after AttachLoop returned true). The
-  /// request's views die when Start returns; a parked request copies what
-  /// it needs and later calls loop->CompleteParked(ticket, reply).
+  /// Begins one request; the default runs Handle(). The request's views die
+  /// when Start returns; a parked request copies what it needs and later
+  /// calls loop->CompleteParked(ticket, reply).
   virtual Started Start(const TextRequest& req, int64_t now,
                         ResponseAssembler* out, const ReplyTicket& ticket) {
     (void)ticket;

@@ -345,7 +345,7 @@ void NetServer::RequestTelemetryDump() {
 void NetServer::SetHandler(RequestHandler* handler) {
   handler_ = handler != nullptr ? handler : &core_;
   handler_->set_telemetry(telemetry_.get());
-  parking_ = handler_->AttachLoop(this);
+  handler_->AttachLoop(this);
 }
 
 int NetServer::WaitTimeoutMs(int idle_ms) const {
@@ -691,51 +691,11 @@ void NetServer::MetricsReadable(Connection* conn) {
 }
 
 void NetServer::Drain(Connection* conn) {
-  if (parking_) {
-    DrainParked(conn);
-    return;
-  }
   if (core_.sharded()) {
     DrainSharded(conn);
-    return;
+  } else {
+    DrainParked(conn);
   }
-  const int64_t now = NowUnix();
-  RequestTelemetry* t = telemetry_.get();
-  if (t != nullptr) {
-    t->BeginBatch(conn->id);
-  }
-  for (;;) {
-    if (t != nullptr) {
-      t->BeginRequest();
-    }
-    const ParseStatus st = conn->parser.Next();
-    if (st == ParseStatus::kNeedMore) {
-      if (t != nullptr) {
-        t->OnAbandoned();
-      }
-      break;
-    }
-    if (st == ParseStatus::kError) {
-      if (t != nullptr) {
-        t->OnParsed(TelemetryOp::kOther, 0);
-      }
-      handler_->HandleParseError(conn->parser.error(), &conn->assembler);
-      if (t != nullptr) {
-        t->OnExecuted(RequestOutcome::kError, 0);
-      }
-      Trace("protocol_error",
-            {{"conn",
-              EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
-             {"kind",
-              EventTracer::JsonString(ToString(conn->parser.error()))}});
-      continue;
-    }
-    if (!handler_->Handle(conn->parser.request(), now, &conn->assembler)) {
-      conn->close_after_flush = true;
-      break;
-    }
-  }
-  FlushTimed(conn, t);
 }
 
 void NetServer::DrainParked(Connection* conn) {
@@ -997,15 +957,13 @@ void NetServer::Flush(Connection* conn) {
 void NetServer::ConnWritable(Connection* conn) { Flush(conn); }
 
 void NetServer::UpdateInterest(Connection* conn) {
+  // Hysteresis: stop reading at the parked cap, resume at half of it, so a
+  // client pipelining past the cap does not flip epoll per reply.
   uint32_t want = conn->armed & EPOLLIN;
-  if (parking_) {
-    // Hysteresis: stop reading at the cap, resume at half of it, so a
-    // client pipelining past the cap does not flip epoll per reply.
-    if (conn->parked >= kMaxParkedPerConn) {
-      want = 0;
-    } else if (conn->parked <= kMaxParkedPerConn / 2) {
-      want = EPOLLIN;
-    }
+  if (conn->parked >= kMaxParkedPerConn) {
+    want = 0;
+  } else if (conn->parked <= kMaxParkedPerConn / 2) {
+    want = EPOLLIN;
   }
   if (!conn->pending_out.empty()) {
     want |= EPOLLOUT;

@@ -37,13 +37,13 @@
 // telemetry's `slow_request_us` triggers the same dump automatically
 // (debounced to at most one per second).
 //
-// Parking handlers (event_loop.h): a handler whose AttachLoop() accepts the
-// server's loop may park requests. Each connection then keeps an ordered
+// Parking handlers (event_loop.h): every handler is offered the server's
+// loop, and its Start() may park requests. Each connection keeps an ordered
 // queue of reply slots — a reply that completes early waits behind the
 // parked ones before it — and stops reading its client while 1024 requests
 // are parked, resuming once half of them have been answered. The same loop
 // carries the handler's own sockets and wakes for its deadlines. ServerCore
-// never parks and keeps the plain drain.
+// never parks, so its replies never wait in a slot.
 //
 // Run() owns the calling thread until Stop() (thread-safe, eventfd wakeup)
 // or a fatal listener error. Expiry time is injectable (`SetClock`) so tests
@@ -230,9 +230,12 @@ class NetServer final : public EventLoop {
   void ConnReadable(Connection* conn);
   void MetricsReadable(Connection* conn);
   void ConnWritable(Connection* conn);
-  /// Runs parse/execute over buffered bytes, then flushes.
+  /// Runs parse/execute over buffered bytes, then flushes: DrainSharded on a
+  /// shard, else DrainParked.
   void Drain(Connection* conn);
-  /// Drain for parking handlers: Start() per request, reply slots in order.
+  /// The non-sharded drain: Start() per request, replies in order. A
+  /// synchronous handler never parks, so its replies go straight to the
+  /// assembler.
   void DrainParked(Connection* conn);
   /// Moves a connection's answered head slots into its assembler, flushes,
   /// and resumes parsing once enough parked requests have been answered.
@@ -275,8 +278,6 @@ class NetServer final : public EventLoop {
   /// The active request executor: &core_ unless SetHandler() swapped in a
   /// different implementation (e.g. the proxy's fan-out core).
   RequestHandler* handler_ = nullptr;
-  /// handler_ accepted the loop: requests go through Start() and may park.
-  bool parking_ = false;
   ResponseAssembler park_scratch_;  // replies queued behind a parked one
   /// Connections with newly answered slots, as (fd, id), flushed at the end
   /// of the loop iteration.

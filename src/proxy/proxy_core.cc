@@ -78,10 +78,9 @@ bool ProxyCore::ReloadMembership(const std::string& path) {
   return true;
 }
 
-bool ProxyCore::AttachLoop(net::EventLoop* loop) {
+void ProxyCore::AttachLoop(net::EventLoop* loop) {
   loop_ = loop;
   pool_.AttachLoop(loop);
-  return true;
 }
 
 bool ProxyCore::Prepare(const net::TextRequest& req, Request* r) {

@@ -87,8 +87,8 @@ class ProxyCore final : public net::RequestHandler, private OpListener {
   void set_telemetry(RequestTelemetry* telemetry) override {
     telemetry_ = telemetry;
   }
-  /// Puts the pool's upstream sockets on `loop` and opts into Start().
-  bool AttachLoop(net::EventLoop* loop) override;
+  /// Puts the pool's upstream sockets on `loop`, so Start() parks.
+  void AttachLoop(net::EventLoop* loop) override;
   Started Start(const net::TextRequest& req, int64_t now,
                 net::ResponseAssembler* out,
                 const net::ReplyTicket& ticket) override;
