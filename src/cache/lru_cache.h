@@ -3,7 +3,11 @@
 // Flat layout for the data-path hot loop: entries live in one contiguous slot
 // arena, recency order is an intrusive doubly-linked list of 32-bit slot
 // indices threaded through the arena, and lookup is an open-addressing
-// (linear-probe, backward-shift-delete) hash table of slot indices. Compared
+// (linear-probe, backward-shift-delete) hash table of slot indices. Each
+// bucket also keeps a 32-bit tag, the upper half of the key's mixed hash
+// (whose low bits are the home bucket), so a probe compares tags before it
+// touches a slot, and rehash and delete find every home from the bucket array
+// alone: neither reads the arena nor hashes a key again. Compared
 // to the classic std::list + std::unordered_map shape (preserved verbatim in
 // lru_cache_ref.h) this removes the per-entry heap node, the duplicate key
 // copy in the index, and every pointer chase but one — the same arena +
@@ -100,13 +104,14 @@ class LruCache {
       return false;
     }
     const LookupKey<Q>& k = key;
+    const uint32_t tag = TagOf(k);
     if (!buckets_.empty()) {
-      const size_t b = FindBucket(k);
-      if (buckets_[b] != kNil) {
+      const size_t b = FindBucket(k, tag);
+      if (buckets_[b].slot != kNil) {
         // Overwrite in place: adjust byte accounting, splice to MRU, then
         // evict as needed. Same victims as the reference's erase+reinsert —
         // this entry is at the front, so it is never its own victim.
-        const uint32_t s = buckets_[b];
+        const uint32_t s = buckets_[b].slot;
         Slot& slot = slots_[s];
         bytes_used_ -= slot.entry.bytes;
         slot.entry.value = std::move(value);
@@ -124,7 +129,7 @@ class LruCache {
     slot.entry.value = std::move(value);
     slot.entry.bytes = bytes;
     LinkFront(s);
-    InsertIndex(s);
+    InsertIndex(s, tag);
     bytes_used_ += bytes;
     ++size_;
     return true;
@@ -174,11 +179,12 @@ class LruCache {
     if (buckets_.empty()) {
       return false;
     }
-    const size_t b = FindBucket<LookupKey<Q>>(key);
-    if (buckets_[b] == kNil) {
+    const LookupKey<Q>& k = key;
+    const size_t b = FindBucket(k, TagOf(k));
+    if (buckets_[b].slot == kNil) {
       return false;
     }
-    const uint32_t s = buckets_[b];
+    const uint32_t s = buckets_[b].slot;
     bytes_used_ -= slots_[s].entry.bytes;
     EraseBucket(b);
     Unlink(s);
@@ -291,20 +297,28 @@ class LruCache {
 
   // ---- Open-addressing index -------------------------------------------
 
+  struct Bucket {
+    uint32_t slot = kNil;  // kNil = empty
+    uint32_t tag = 0;      // upper half of the key's mixed hash
+  };
+
   template <typename Q>
-  size_t BucketOf(const Q& key) const {
+  static uint32_t TagOf(const Q& key) {
     // Spread the hash so power-of-two masking is safe even for identity
-    // std::hash implementations (Fibonacci multiplicative mixing).
+    // std::hash implementations (Fibonacci multiplicative mixing); the home
+    // bucket is the tag's low bits.
     const uint64_t h = static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(h >> 32) & (buckets_.size() - 1);
+    return static_cast<uint32_t>(h >> 32);
   }
 
   /// Bucket holding `key`, or the empty bucket where it would be inserted.
   template <typename Q>
-  size_t FindBucket(const Q& key) const {
+  size_t FindBucket(const Q& key, uint32_t tag) const {
     const size_t mask = buckets_.size() - 1;
-    size_t b = BucketOf(key);
-    while (buckets_[b] != kNil && !(slots_[buckets_[b]].entry.key == key)) {
+    size_t b = tag & mask;
+    while (buckets_[b].slot != kNil &&
+           !(buckets_[b].tag == tag &&
+             slots_[buckets_[b].slot].entry.key == key)) {
       b = (b + 1) & mask;
     }
     return b;
@@ -315,15 +329,36 @@ class LruCache {
     if (buckets_.empty()) {
       return kNil;
     }
-    const size_t b = FindBucket(key);
-    return buckets_[b];
+    return buckets_[FindBucket(key, TagOf(key))].slot;
   }
 
-  void InsertIndex(uint32_t s) {
+  /// First empty bucket on `tag`'s probe path: where a key known to be
+  /// absent goes.
+  size_t EmptyBucketFor(uint32_t tag) const {
+    const size_t mask = buckets_.size() - 1;
+    size_t b = tag & mask;
+    while (buckets_[b].slot != kNil) {
+      b = (b + 1) & mask;
+    }
+    return b;
+  }
+
+  void InsertIndex(uint32_t s, uint32_t tag) {
     if (buckets_.empty() || (size_ + 1) * 4 > buckets_.size() * 3) {
       Rehash(buckets_.empty() ? kMinBuckets : buckets_.size() * 2);
     }
-    buckets_[FindBucket(slots_[s].entry.key)] = s;
+    buckets_[EmptyBucketFor(tag)] = Bucket{s, tag};
+  }
+
+  /// Bucket pointing at slot `s` (which must be indexed): probes by slot
+  /// number, so no key is compared.
+  size_t BucketOfSlot(uint32_t s) const {
+    const size_t mask = buckets_.size() - 1;
+    size_t b = TagOf(slots_[s].entry.key) & mask;
+    while (buckets_[b].slot != s) {
+      b = (b + 1) & mask;
+    }
+    return b;
   }
 
   /// Knuth's backward-shift deletion: closes the probe-chain hole left at
@@ -334,11 +369,11 @@ class LruCache {
     size_t j = hole;
     for (;;) {
       j = (j + 1) & mask;
-      if (buckets_[j] == kNil) {
-        buckets_[i] = kNil;
+      if (buckets_[j].slot == kNil) {
+        buckets_[i] = Bucket{};
         return;
       }
-      const size_t home = BucketOf(slots_[buckets_[j]].entry.key);
+      const size_t home = buckets_[j].tag & mask;
       // Move j's entry into the hole only if its probe path crosses i.
       if (((j - home) & mask) >= ((j - i) & mask)) {
         buckets_[i] = buckets_[j];
@@ -348,9 +383,12 @@ class LruCache {
   }
 
   void Rehash(size_t new_buckets) {
-    buckets_.assign(new_buckets, kNil);
-    for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      buckets_[FindBucket(slots_[s].entry.key)] = s;
+    std::vector<Bucket> old(new_buckets);
+    old.swap(buckets_);
+    for (const Bucket& bucket : old) {
+      if (bucket.slot != kNil) {
+        buckets_[EmptyBucketFor(bucket.tag)] = bucket;
+      }
     }
   }
 
@@ -371,7 +409,7 @@ class LruCache {
       const uint32_t s = tail_;
       NotifyEvict(slots_[s].entry);
       bytes_used_ -= slots_[s].entry.bytes;
-      EraseBucket(FindBucket(slots_[s].entry.key));
+      EraseBucket(BucketOfSlot(s));
       Unlink(s);
       FreeSlot(s);
       --size_;
@@ -386,7 +424,7 @@ class LruCache {
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
   std::vector<Slot> slots_;
-  std::vector<uint32_t> buckets_;  // slot index per bucket; kNil = empty
+  std::vector<Bucket> buckets_;
   uint32_t head_ = kNil;           // MRU
   uint32_t tail_ = kNil;           // LRU
   uint32_t free_head_ = kNil;

@@ -17,7 +17,6 @@
 #include <climits>
 #include <ctime>
 #include <fstream>
-#include <thread>
 
 #include "src/obs/exporters.h"
 #include "src/util/logging.h"
@@ -73,6 +72,7 @@ NetServer::NetServer(const NetServerConfig& config, SpotCacheSystem* system,
 }
 
 NetServer::~NetServer() {
+  CloseHandedOff();
   for (auto& [fd, conn] : conns_) {
     ::close(fd);
     (void)conn;
@@ -235,6 +235,7 @@ bool NetServer::Run() {
       if (fd == wake_fd_) {
         uint64_t tick = 0;
         (void)!::read(wake_fd_, &tick, sizeof(tick));
+        AdoptHandedOff();
         continue;
       }
       auto it = conns_.find(fd);
@@ -279,9 +280,6 @@ bool NetServer::Run() {
       }
     }
     completed_.clear();
-    if (core_.sharded()) {
-      core_.ServiceInbox();  // peers' ops, queued while we were waiting
-    }
     if (reload_requested_.load(std::memory_order_relaxed)) {
       reload_requested_.store(false, std::memory_order_relaxed);
       if (on_reload_) {
@@ -304,19 +302,7 @@ bool NetServer::Run() {
       }
     }
   }
-  if (core_.sharded()) {
-    // Shutdown drain: peers may still be blocked awaiting ops we owe them.
-    // Announce our exit, then keep servicing our inbox until every shard has
-    // left its loop — after which no op can be outstanding (each op is
-    // awaited within the batch that created it).
-    ShardExchange* ex = shard_ctx_.exchange;
-    ex->NotifyStopped();
-    while (!ex->AllStopped()) {
-      core_.ServiceInbox();
-      std::this_thread::yield();
-    }
-    core_.ServiceInbox();
-  }
+  CloseHandedOff();
   MaybeFlushHub(/*force=*/true);
   return ok;
 }
@@ -488,18 +474,12 @@ void NetServer::AcceptReady(int listen_fd, bool metrics) {
     if (fd < 0) {
       return;  // EAGAIN or transient accept error: wait for the next event
     }
-    // Hash-dispatch accept fallback: the dispatcher shard accepts for
-    // everyone and round-robins fds to the other shards (kAdoptConn,
-    // awaited so the fd has exactly one owner at any instant).
-    if (!metrics && dispatcher_ && core_.sharded()) {
-      const uint32_t target = dispatch_rr_++ % core_.shard_count();
-      if (target != shard_ctx_.self) {
-        CrossShardOp op;
-        op.kind = CrossShardOp::Kind::kAdoptConn;
-        op.fd = fd;
-        shard_ctx_.exchange->Submit(shard_ctx_.self, target, &op);
-        shard_ctx_.exchange->Wake(target);
-        shard_ctx_.exchange->AwaitOp(shard_ctx_.self, &op);
+    // Accept fallback without SO_REUSEPORT: the dispatcher shard accepts
+    // for everyone and round-robins fds into the other shards' queues.
+    if (!metrics && !dispatch_to_.empty()) {
+      NetServer* target = dispatch_to_[dispatch_rr_++ % dispatch_to_.size()];
+      if (target != this) {
+        target->HandOff(fd);
         continue;
       }
     }
@@ -564,13 +544,32 @@ void NetServer::AdoptFd(int fd) {
   RegisterConn(fd, /*metrics=*/false);
 }
 
-void NetServer::ExecuteShardOp(CrossShardOp* op) {
-  if (op->kind == CrossShardOp::Kind::kAdoptConn) {
-    AdoptFd(op->fd);
-    op->done.store(true, std::memory_order_release);
-    return;
+void NetServer::HandOff(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    handoff_fds_.push_back(fd);
   }
-  core_.ExecuteCrossOp(op);
+  const uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
+void NetServer::AdoptHandedOff() {
+  std::vector<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    fds.swap(handoff_fds_);
+  }
+  for (const int fd : fds) {
+    AdoptFd(fd);
+  }
+}
+
+void NetServer::CloseHandedOff() {
+  std::lock_guard<std::mutex> lock(handoff_mu_);
+  for (const int fd : handoff_fds_) {
+    ::close(fd);
+  }
+  handoff_fds_.clear();
 }
 
 void NetServer::ConfigureShard(const ShardContext& ctx) {
@@ -629,7 +628,7 @@ void NetServer::ConnReadable(Connection* conn) {
     CloseConn(conn, "read_error");
     return;
   }
-  Drain(conn);
+  DrainParked(conn);
 }
 
 void NetServer::MetricsReadable(Connection* conn) {
@@ -688,14 +687,6 @@ void NetServer::MetricsReadable(Connection* conn) {
   conn->pending_out.append(body);
   conn->close_after_flush = true;
   Flush(conn);
-}
-
-void NetServer::Drain(Connection* conn) {
-  if (core_.sharded()) {
-    DrainSharded(conn);
-  } else {
-    DrainParked(conn);
-  }
 }
 
 void NetServer::DrainParked(Connection* conn) {
@@ -773,65 +764,6 @@ void NetServer::FlushCompleted(Connection* conn) {
       conn->parser.buffered() > 0) {
     DrainParked(conn);
   }
-}
-
-void NetServer::DrainSharded(Connection* conn) {
-  const int64_t now = NowUnix();
-  RequestTelemetry* t = telemetry_.get();
-  if (t != nullptr) {
-    t->BeginBatch(conn->id);
-  }
-  // Phase 1: parse everything buffered into owned events (the parser's
-  // string_views die on the next Next(), and scatter-ahead needs the whole
-  // batch before execution starts).
-  events_.clear();
-  bool ended_need_more = false;
-  for (;;) {
-    const ParseStatus st = conn->parser.Next();
-    if (st == ParseStatus::kNeedMore) {
-      ended_need_more = true;
-      break;
-    }
-    if (st == ParseStatus::kError) {
-      PendingEvent& ev = events_.emplace_back();
-      ev.is_error = true;
-      ev.error = conn->parser.error();
-      Trace("protocol_error",
-            {{"conn",
-              EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
-             {"kind",
-              EventTracer::JsonString(ToString(conn->parser.error()))}});
-      continue;
-    }
-    const TextRequest& req = conn->parser.request();
-    PendingEvent& ev = events_.emplace_back();
-    ev.verb = req.verb;
-    ev.keys.reserve(req.keys.size());
-    for (const std::string_view key : req.keys) {
-      ev.keys.emplace_back(key);
-    }
-    ev.flags = req.flags;
-    ev.exptime = req.exptime;
-    ev.delay_s = req.delay_s;
-    ev.stats_arg = std::string(req.stats_arg);
-    ev.data = std::string(req.data);
-    ev.noreply = req.noreply;
-    if (req.verb == Verb::kQuit) {
-      break;  // the single-threaded drain stops here too (close after quit)
-    }
-  }
-  // Phase 2: scatter/execute in request order.
-  if (!events_.empty() &&
-      !core_.ExecuteBatch(events_, now, &conn->assembler)) {
-    conn->close_after_flush = true;
-  }
-  if (t != nullptr && ended_need_more) {
-    // The trailing partial request consumes a sampler slot exactly like the
-    // single-threaded drain's abandoned BeginRequest.
-    t->BeginRequest();
-    t->OnAbandoned();
-  }
-  FlushTimed(conn, t);
 }
 
 void NetServer::FlushTimed(Connection* conn, RequestTelemetry* t) {

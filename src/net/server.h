@@ -37,13 +37,16 @@
 // telemetry's `slow_request_us` triggers the same dump automatically
 // (debounced to at most one per second).
 //
-// Parking handlers (event_loop.h): every handler is offered the server's
-// loop, and its Start() may park requests. Each connection keeps an ordered
-// queue of reply slots — a reply that completes early waits behind the
-// parked ones before it — and stops reading its client while 1024 requests
-// are parked, resuming once half of them have been answered. The same loop
-// carries the handler's own sockets and wakes for its deadlines. ServerCore
-// never parks, so its replies never wait in a slot.
+// One drain (DrainParked) serves every configuration: the plain server, the
+// proxy, and each shard of the multi-core server. Parking handlers
+// (event_loop.h): every handler is offered the server's loop, and its Start()
+// may park requests. Each connection keeps an ordered queue of reply slots —
+// a reply that completes early waits behind the parked ones before it — and
+// stops reading its client while 1024 requests are parked, resuming once half
+// of them have been answered. The same loop carries the handler's own sockets
+// and wakes for its deadlines. ServerCore never parks and never waits: on a
+// shard it runs every key inline under the owning partition's lock, so its
+// replies never wait in a slot.
 //
 // Run() owns the calling thread until Stop() (thread-safe, eventfd wakeup)
 // or a fatal listener error. Expiry time is injectable (`SetClock`) so tests
@@ -137,8 +140,7 @@ class NetServer final : public EventLoop {
   /// Substitutes `handler` for the built-in ServerCore on the single-threaded
   /// drain path (the proxy seam; see request_handler.h) and offers it this
   /// server's loop. Must be called before Run(); the handler must outlive
-  /// the server. Incompatible with sharded serving (DrainSharded executes
-  /// through ServerCore batches).
+  /// the server.
   void SetHandler(RequestHandler* handler);
 
   // --- EventLoop (loop thread only; see event_loop.h). -------------------
@@ -169,14 +171,17 @@ class NetServer final : public EventLoop {
 
   /// Makes this server shard ctx.self of ctx.count. Must run before Start().
   void ConfigureShard(const ShardContext& ctx);
-  /// Dispatcher role (hash-dispatch accept fallback): this shard accepts on
-  /// behalf of everyone and round-robins the accepted fds across shards.
-  void SetDispatcher(bool on) { dispatcher_ = on; }
-  /// Adopts an fd handed over by the dispatcher shard. Owning thread only.
-  void AdoptFd(int fd);
-  /// This shard's inbox executor (installed into the ShardExchange):
-  /// connection adoptions are handled here, everything else goes to the core.
-  void ExecuteShardOp(CrossShardOp* op);
+  /// Dispatcher role (accept fallback without SO_REUSEPORT): this shard
+  /// accepts on behalf of every server in `shards` (itself included, at its
+  /// shard index) and round-robins the accepted fds across them. Must be
+  /// called before Run().
+  void SetDispatcher(std::vector<NetServer*> shards) {
+    dispatch_to_ = std::move(shards);
+  }
+  /// Queues an accepted fd for this server's loop to adopt and wakes it.
+  /// Thread-safe; never waits for the loop. An fd still queued when the
+  /// server exits is closed.
+  void HandOff(int fd);
   /// Publishes this shard's registry into `hub` slot `slot` at epoch
   /// boundaries; scrapes then serve the hub aggregate (never a mid-update
   /// counter). Shard 0 additionally publishes the shared control-plane
@@ -187,8 +192,6 @@ class NetServer final : public EventLoop {
   }
   /// Serializes flight-recorder dumps across shards (shared span file).
   void SetDumpMutex(std::mutex* mu) { dump_mu_ = mu; }
-  /// The loop's eventfd (the exchange's wake target). Valid after Start().
-  int wake_fd() const { return wake_fd_; }
 
  private:
   /// One unanswered request of a parking handler's connection.
@@ -230,27 +233,26 @@ class NetServer final : public EventLoop {
   void ConnReadable(Connection* conn);
   void MetricsReadable(Connection* conn);
   void ConnWritable(Connection* conn);
-  /// Runs parse/execute over buffered bytes, then flushes: DrainSharded on a
-  /// shard, else DrainParked.
-  void Drain(Connection* conn);
-  /// The non-sharded drain: Start() per request, replies in order. A
-  /// synchronous handler never parks, so its replies go straight to the
-  /// assembler.
+  /// The drain: Start() per buffered request, replies in order, then a
+  /// flush. A synchronous handler never parks, so its replies go straight to
+  /// the assembler.
   void DrainParked(Connection* conn);
   /// Moves a connection's answered head slots into its assembler, flushes,
   /// and resumes parsing once enough parked requests have been answered.
   void FlushCompleted(Connection* conn);
   /// epoll_wait timeout honoring the loop clients' deadlines.
   int WaitTimeoutMs(int idle_ms) const;
-  /// Sharded drain: parses the whole buffered batch into owned PendingEvents
-  /// first (scatter-ahead needs requests that outlive the parser buffer),
-  /// then executes via ServerCore::ExecuteBatch.
-  void DrainSharded(Connection* conn);
   /// End-of-batch flush with the span write-stamp bookkeeping.
   void FlushTimed(Connection* conn, RequestTelemetry* t);
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
   /// counters, traces).
   void RegisterConn(int fd, bool metrics);
+  /// Registers an fd another shard accepted, within max_connections.
+  void AdoptFd(int fd);
+  /// Adopts every fd HandOff() queued.
+  void AdoptHandedOff();
+  /// Closes every fd HandOff() queued that was never adopted.
+  void CloseHandedOff();
   /// Epoch-publishes this shard's registry into the hub (rate-limited unless
   /// forced).
   void MaybeFlushHub(bool force);
@@ -310,13 +312,14 @@ class NetServer final : public EventLoop {
 
   // Sharded-serving state (inert in the single-threaded server).
   ShardContext shard_ctx_;
-  bool dispatcher_ = false;
+  std::vector<NetServer*> dispatch_to_;  // empty unless the dispatcher
   uint32_t dispatch_rr_ = 0;
+  std::mutex handoff_mu_;
+  std::vector<int> handoff_fds_;  // guarded by handoff_mu_
   MetricsHub* hub_ = nullptr;
   size_t hub_slot_ = 0;
   std::mutex* dump_mu_ = nullptr;
   int64_t last_hub_flush_us_ = -1'000'000;
-  std::vector<PendingEvent> events_;  // sharded-drain scratch (reused)
 
   // High-water marks mirrored into gauges (kept locally so the hot path
   // compares against a plain size_t, not a double).

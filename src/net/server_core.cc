@@ -31,7 +31,8 @@ TelemetryOp OpFor(Verb verb) {
 ServerCore::ServerCore(const ServerCoreConfig& config, SpotCacheSystem* system,
                        Obs* obs)
     : config_(config),
-      store_(config.capacity_bytes),
+      own_store_(std::make_unique<PartitionedStore>(1, config.capacity_bytes)),
+      store_(own_store_.get()),
       system_(system),
       obs_(obs) {
   if (obs != nullptr) {
@@ -46,8 +47,9 @@ ServerCore::ServerCore(const ServerCoreConfig& config, SpotCacheSystem* system,
 
 void ServerCore::ConfigureShard(const ShardContext& ctx) {
   shard_ = ctx;
-  if (sharded()) {
-    store_.set_shared_cas(shard_.exchange->shared_cas());
+  if (ctx.store != nullptr) {
+    store_ = ctx.store;
+    own_store_.reset();
   }
 }
 
@@ -82,9 +84,8 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
   const bool time_route =
       system_ != nullptr && telemetry_ != nullptr && telemetry_->span_active();
   Outcome result{RequestOutcome::kHit, 0};
-  for (size_t ki = 0; ki < req.keys.size(); ++ki) {
-    const std::string_view key = req.keys[ki];
-    ++cmd_get_;
+  for (const std::string_view key : req.keys) {
+    cmd_get_.Increment();
     ServedBy served;
     if (time_route) {
       const int64_t t0 = RequestTelemetry::NowMicros();
@@ -96,9 +97,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     if (served == ServedBy::kDropped) {
       // The ladder shed this key: fail the whole retrieval loudly rather
       // than silently reporting a miss — clients must see backpressure.
-      // (Sharded mode: any ops already scattered for the remaining keys are
-      // awaited at batch end; their results are discarded.)
-      ++sheds_;
+      sheds_.Increment();
       if (obs_sheds_ != nullptr) {
         obs_sheds_->Increment();
       }
@@ -109,40 +108,22 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     if (served == ServedBy::kBackup) {
       result.outcome = RequestOutcome::kBackup;
     }
-    if (CrossShardOp* rop = RemoteOp(ki); rop != nullptr) {
-      // Remote-owned key: the fetch was scattered when the batch was parsed;
-      // gather here so VALUE blocks come back in request order.
-      AwaitOp(rop);
-      if (!rop->found) {
-        ++get_misses_;
-        if (obs_get_misses_ != nullptr) {
-          obs_get_misses_->Increment();
-        }
-        if (result.outcome == RequestOutcome::kHit) {
-          result.outcome = RequestOutcome::kMiss;
-        }
-        continue;
+    // Copy what the reply needs under the partition lock; the payload pin
+    // keeps the bytes alive after the unlock, even if the item is evicted.
+    std::shared_ptr<const std::string> data;
+    uint32_t flags = 0;
+    uint64_t cas = 0;
+    {
+      StorePartition& part = store_->of(key);
+      std::lock_guard<std::mutex> lock(part.mu);
+      if (const Item* item = part.store.Get(key, now); item != nullptr) {
+        data = item->data;
+        flags = item->flags;
+        cas = item->cas;
       }
-      ++get_hits_;
-      if (obs_get_hits_ != nullptr) {
-        obs_get_hits_->Increment();
-      }
-      result.value_bytes += static_cast<uint32_t>(rop->rdata->size());
-      if (with_cas) {
-        out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
-                     static_cast<int>(key.size()), key.data(), rop->rflags,
-                     rop->rdata->size(), rop->rcas);
-      } else {
-        out->Appendf("VALUE %.*s %u %zu\r\n", static_cast<int>(key.size()),
-                     key.data(), rop->rflags, rop->rdata->size());
-      }
-      out->AppendPinned(*rop->rdata, rop->rdata);
-      out->Append("\r\n");
-      continue;
     }
-    const Item* item = store_.Get(key, now);
-    if (item == nullptr) {
-      ++get_misses_;
+    if (data == nullptr) {
+      get_misses_.Increment();
       if (obs_get_misses_ != nullptr) {
         obs_get_misses_->Increment();
       }
@@ -151,20 +132,21 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
       }
       continue;
     }
-    ++get_hits_;
+    get_hits_.Increment();
     if (obs_get_hits_ != nullptr) {
       obs_get_hits_->Increment();
     }
-    result.value_bytes += static_cast<uint32_t>(item->data->size());
+    result.value_bytes += static_cast<uint32_t>(data->size());
     if (with_cas) {
       out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
-                   static_cast<int>(key.size()), key.data(), item->flags,
-                   item->data->size(), item->cas);
+                   static_cast<int>(key.size()), key.data(), flags,
+                   data->size(), cas);
     } else {
       out->Appendf("VALUE %.*s %u %zu\r\n", static_cast<int>(key.size()),
-                   key.data(), item->flags, item->data->size());
+                   key.data(), flags, data->size());
     }
-    out->AppendPinned(*item->data, item->data);
+    const std::string_view bytes = *data;
+    out->AppendPinned(bytes, std::move(data));
     out->Append("\r\n");
   }
   out->Append("END\r\n");
@@ -174,32 +156,31 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
 ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
                                               int64_t now,
                                               ResponseAssembler* out) {
-  ++cmd_set_;
+  cmd_set_.Increment();
   if (obs_sets_ != nullptr) {
     obs_sets_->Increment();
   }
   const std::string_view key = req.keys[0];
-  bool stored = false;
-  if (CrossShardOp* rop = RemoteOp(0); rop != nullptr) {
-    AwaitOp(rop);
-    stored = rop->stored;
-  } else {
-    ItemStore::StoreResult result = ItemStore::StoreResult::kNotStored;
+  ItemStore::StoreResult result = ItemStore::StoreResult::kNotStored;
+  {
+    StorePartition& part = store_->of(key);
+    std::lock_guard<std::mutex> lock(part.mu);
     switch (req.verb) {
       case Verb::kSet:
-        result = store_.Set(key, req.flags, req.exptime, req.data, now);
+        result = part.store.Set(key, req.flags, req.exptime, req.data, now);
         break;
       case Verb::kAdd:
-        result = store_.Add(key, req.flags, req.exptime, req.data, now);
+        result = part.store.Add(key, req.flags, req.exptime, req.data, now);
         break;
       case Verb::kReplace:
-        result = store_.Replace(key, req.flags, req.exptime, req.data, now);
+        result =
+            part.store.Replace(key, req.flags, req.exptime, req.data, now);
         break;
       default:
         break;
     }
-    stored = result == ItemStore::StoreResult::kStored;
   }
+  const bool stored = result == ItemStore::StoreResult::kStored;
   if (stored) {
     if (telemetry_ != nullptr && telemetry_->span_active() &&
         system_ != nullptr) {
@@ -247,10 +228,10 @@ void ServerCore::AppendResilienceStats(ResponseAssembler* out) {
                  rung("backend"));
     out->Appendf("STAT spotcache_served_shed %" PRId64 "\r\n", rung("shed"));
   }
-  const uint64_t keyed = cmd_get_ + cmd_set_;
+  const uint64_t keyed = cmd_get_.value() + cmd_set_.value();
   out->Appendf("STAT spotcache_shed_fraction %.6f\r\n",
                keyed == 0 ? 0.0
-                          : static_cast<double>(sheds_) /
+                          : static_cast<double>(sheds_.value()) /
                                 static_cast<double>(keyed));
 }
 
@@ -337,13 +318,7 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
 }
 
 void ServerCore::AppendDefaultStats(int64_t now, ResponseAssembler* out) {
-  // Sharded mode aggregates every shard's snapshot (stats is an ordering
-  // barrier, so no scattered-ahead op of this batch can race the gather);
-  // single-shard mode reads the same fields directly.
-  CoreSnapshot t = Snapshot();
-  if (sharded()) {
-    GatherPeerSnapshots(&t);
-  }
+  const CoreSnapshot t = Snapshot();
   const auto stat_u = [out](const char* name, uint64_t v) {
     out->Appendf("STAT %s %" PRIu64 "\r\n", name, v);
   };
@@ -381,8 +356,8 @@ void ServerCore::HandleStats(const TextRequest& req, int64_t now,
 
 bool ServerCore::Handle(const TextRequest& req, int64_t now,
                         ResponseAssembler* out) {
-  if (start_time_ < 0) {
-    start_time_ = now;
+  if (start_time_.load(std::memory_order_relaxed) < 0) {
+    start_time_.store(now, std::memory_order_relaxed);
   }
   if (obs_requests_ != nullptr) {
     obs_requests_->Increment();
@@ -405,37 +380,24 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
       outcome = HandleStorage(req, now, out);
       break;
 
-    case Verb::kDelete: {
-      ++cmd_delete_;
-      bool deleted;
-      if (CrossShardOp* rop = RemoteOp(0); rop != nullptr) {
-        AwaitOp(rop);
-        deleted = rop->found;
-      } else {
-        deleted = store_.Delete(req.keys[0], now);
-      }
-      if (!req.noreply) {
-        out->Append(deleted ? "DELETED\r\n" : "NOT_FOUND\r\n");
-      }
-      outcome.outcome =
-          deleted ? RequestOutcome::kHit : RequestOutcome::kMiss;
-      break;
-    }
-
+    case Verb::kDelete:
     case Verb::kTouch: {
-      ++cmd_touch_;
-      bool touched;
-      if (CrossShardOp* rop = RemoteOp(0); rop != nullptr) {
-        AwaitOp(rop);
-        touched = rop->found;
-      } else {
-        touched = store_.Touch(req.keys[0], req.exptime, now);
+      const bool touch = req.verb == Verb::kTouch;
+      (touch ? cmd_touch_ : cmd_delete_).Increment();
+      const std::string_view key = req.keys[0];
+      bool found;
+      {
+        StorePartition& part = store_->of(key);
+        std::lock_guard<std::mutex> lock(part.mu);
+        found = touch ? part.store.Touch(key, req.exptime, now)
+                      : part.store.Delete(key, now);
       }
       if (!req.noreply) {
-        out->Append(touched ? "TOUCHED\r\n" : "NOT_FOUND\r\n");
+        out->Append(!found ? "NOT_FOUND\r\n"
+                    : touch ? "TOUCHED\r\n"
+                            : "DELETED\r\n");
       }
-      outcome.outcome =
-          touched ? RequestOutcome::kHit : RequestOutcome::kMiss;
+      outcome.outcome = found ? RequestOutcome::kHit : RequestOutcome::kMiss;
       break;
     }
 
@@ -448,14 +410,11 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
       break;
 
     case Verb::kFlushAll:
-      ++cmd_flush_;
-      store_.FlushAll(now, req.delay_s);
-      if (sharded()) {
-        // Ordering barrier: every scattered op before this point has been
-        // awaited (scatter windows stop at flush_all), and nothing after it
-        // is scattered until the broadcast round-trips, so "stores before
-        // the flush die, stores after survive" holds across shards.
-        BroadcastFlush(now, req.delay_s);
+      cmd_flush_.Increment();
+      for (uint32_t i = 0; i < store_->count(); ++i) {
+        StorePartition& part = store_->at(i);
+        std::lock_guard<std::mutex> lock(part.mu);
+        part.store.FlushAll(now, req.delay_s);
       }
       if (!req.noreply) {
         out->Append("OK\r\n");
@@ -473,293 +432,40 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
 }
 
 void ServerCore::HandleParseError(ParseErrorKind kind, ResponseAssembler* out) {
-  ++protocol_errors_;
+  protocol_errors_.Increment();
   if (obs_protocol_errors_ != nullptr) {
     obs_protocol_errors_->Increment();
   }
   out->Append(ErrorReply(kind));
 }
 
-// --- Sharded-batch execution. ---------------------------------------------
-
 CoreSnapshot ServerCore::Snapshot() const {
   CoreSnapshot s;
-  s.curr_items = store_.item_count();
-  s.bytes_used = store_.bytes_used();
-  s.capacity_bytes = store_.capacity_bytes();
-  s.evictions = store_.evictions();
-  s.expired_reaped = store_.expired_reaped();
-  s.cmd_get = cmd_get_;
-  s.cmd_set = cmd_set_;
-  s.cmd_touch = cmd_touch_;
-  s.cmd_delete = cmd_delete_;
-  s.cmd_flush = cmd_flush_;
-  s.get_hits = get_hits_;
-  s.get_misses = get_misses_;
-  s.sheds = sheds_;
-  s.protocol_errors = protocol_errors_;
-  s.start_time = start_time_;
+  store_->AddStoreStats(&s);
+  if (shard_.cores != nullptr) {
+    for (const ServerCore* core : *shard_.cores) {
+      core->AddCounters(&s);
+    }
+  } else {
+    AddCounters(&s);
+  }
   return s;
 }
 
-void ServerCore::ExecuteCrossOp(CrossShardOp* op) {
-  using Kind = CrossShardOp::Kind;
-  switch (op->kind) {
-    case Kind::kGet: {
-      const Item* item = store_.Get(op->key, op->now);
-      if (item != nullptr) {
-        op->found = true;
-        op->rflags = item->flags;
-        op->rcas = item->cas;
-        op->rdata = item->data;
-      } else {
-        op->found = false;
-      }
-      break;
-    }
-    case Kind::kSet:
-      op->stored = store_.Set(op->key, op->flags, op->exptime, op->data,
-                              op->now) == ItemStore::StoreResult::kStored;
-      break;
-    case Kind::kAdd:
-      op->stored = store_.Add(op->key, op->flags, op->exptime, op->data,
-                              op->now) == ItemStore::StoreResult::kStored;
-      break;
-    case Kind::kReplace:
-      op->stored = store_.Replace(op->key, op->flags, op->exptime, op->data,
-                                  op->now) == ItemStore::StoreResult::kStored;
-      break;
-    case Kind::kDelete:
-      op->found = store_.Delete(op->key, op->now);
-      break;
-    case Kind::kTouch:
-      op->found = store_.Touch(op->key, op->exptime, op->now);
-      break;
-    case Kind::kFlushAll:
-      store_.FlushAll(op->now, op->delay_s);
-      break;
-    case Kind::kSnapshot:
-      op->snapshot = Snapshot();
-      break;
-    case Kind::kAdoptConn:
-      break;  // connection handoff is the server's job, not the core's
-  }
-  op->done.store(true, std::memory_order_release);
-}
-
-void ServerCore::ServiceInbox() {
-  if (sharded()) {
-    shard_.exchange->ServiceInbox(shard_.self);
+void ServerCore::AddCounters(CoreSnapshot* s) const {
+  s->cmd_get += cmd_get_.value();
+  s->cmd_set += cmd_set_.value();
+  s->cmd_touch += cmd_touch_.value();
+  s->cmd_delete += cmd_delete_.value();
+  s->cmd_flush += cmd_flush_.value();
+  s->get_hits += get_hits_.value();
+  s->get_misses += get_misses_.value();
+  s->sheds += sheds_.value();
+  s->protocol_errors += protocol_errors_.value();
+  const int64_t start = start_time_.load(std::memory_order_relaxed);
+  if (start >= 0 && (s->start_time < 0 || start < s->start_time)) {
+    s->start_time = start;
   }
 }
-
-void ServerCore::ScatterEvent(const PendingEvent& ev, size_t index,
-                              uint64_t* wake_mask) {
-  std::vector<CrossShardOp*>& ops = event_ops_[index];
-  // Every op is fully populated BEFORE Submit: the ring's release/acquire
-  // on the tail index is what publishes the fields to the owner thread.
-  const auto make_op = [this](CrossShardOp::Kind kind,
-                              const std::string& key) -> CrossShardOp* {
-    CrossShardOp& op = batch_ops_.emplace_back();
-    op.kind = kind;
-    op.key = key;
-    op.now = batch_now_;
-    return &op;
-  };
-  const auto submit = [this, wake_mask](CrossShardOp* op, uint32_t owner) {
-    shard_.exchange->Submit(shard_.self, owner, op);
-    *wake_mask |= uint64_t{1} << owner;
-  };
-  switch (ev.verb) {
-    case Verb::kGet:
-    case Verb::kGets:
-      ops.assign(ev.keys.size(), nullptr);
-      for (size_t ki = 0; ki < ev.keys.size(); ++ki) {
-        const uint32_t owner = ShardOfKey(ev.keys[ki], shard_.count);
-        if (owner != shard_.self) {
-          CrossShardOp* op = make_op(CrossShardOp::Kind::kGet, ev.keys[ki]);
-          ops[ki] = op;
-          submit(op, owner);
-        }
-      }
-      break;
-    case Verb::kSet:
-    case Verb::kAdd:
-    case Verb::kReplace: {
-      ops.assign(1, nullptr);
-      const uint32_t owner = ShardOfKey(ev.keys[0], shard_.count);
-      if (owner != shard_.self) {
-        const CrossShardOp::Kind kind =
-            ev.verb == Verb::kSet     ? CrossShardOp::Kind::kSet
-            : ev.verb == Verb::kAdd   ? CrossShardOp::Kind::kAdd
-                                      : CrossShardOp::Kind::kReplace;
-        CrossShardOp* op = make_op(kind, ev.keys[0]);
-        op->flags = ev.flags;
-        op->exptime = ev.exptime;
-        op->data = ev.data;
-        ops[0] = op;
-        submit(op, owner);
-      }
-      break;
-    }
-    case Verb::kDelete:
-    case Verb::kTouch: {
-      ops.assign(1, nullptr);
-      const uint32_t owner = ShardOfKey(ev.keys[0], shard_.count);
-      if (owner != shard_.self) {
-        CrossShardOp* op =
-            make_op(ev.verb == Verb::kDelete ? CrossShardOp::Kind::kDelete
-                                             : CrossShardOp::Kind::kTouch,
-                    ev.keys[0]);
-        op->exptime = ev.exptime;
-        ops[0] = op;
-        submit(op, owner);
-      }
-      break;
-    }
-    default:
-      ops.clear();
-      break;
-  }
-}
-
-size_t ServerCore::ScatterWindow(const std::vector<PendingEvent>& events,
-                                 size_t from) {
-  const auto is_barrier = [](const PendingEvent& ev) {
-    return !ev.is_error &&
-           (ev.verb == Verb::kStats || ev.verb == Verb::kFlushAll ||
-            ev.verb == Verb::kQuit);
-  };
-  if (from < events.size() && is_barrier(events[from])) {
-    // A barrier at the window start executes before anything past it may
-    // scatter: resume scatter at the next event.
-    return from + 1;
-  }
-  uint64_t wake_mask = 0;
-  size_t i = from;
-  for (; i < events.size() && !is_barrier(events[i]); ++i) {
-    ScatterEvent(events[i], i, &wake_mask);
-  }
-  // One wake per touched shard per window, after all pushes (no lost
-  // wakeups: the op is visible in the ring before the eventfd write).
-  for (uint32_t s = 0; wake_mask != 0 && s < shard_.count; ++s) {
-    if ((wake_mask >> s) & 1) {
-      shard_.exchange->Wake(s);
-    }
-  }
-  return i;
-}
-
-bool ServerCore::ExecuteBatch(const std::vector<PendingEvent>& events,
-                              int64_t now, ResponseAssembler* out) {
-  batch_now_ = now;
-  event_ops_.resize(events.size());
-  for (auto& ops : event_ops_) {
-    ops.clear();
-  }
-  bool keep_open = true;
-  size_t scatter_from = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (i >= scatter_from) {
-      scatter_from = ScatterWindow(events, i);
-    }
-    if ((i & 63) == 0) {
-      ServiceInbox();  // bound cross-shard latency inside big batches
-    }
-    const PendingEvent& ev = events[i];
-    if (telemetry_ != nullptr) {
-      telemetry_->BeginRequest();
-    }
-    if (ev.is_error) {
-      if (telemetry_ != nullptr) {
-        telemetry_->OnParsed(TelemetryOp::kOther, 0);
-      }
-      HandleParseError(ev.error, out);
-      if (telemetry_ != nullptr) {
-        telemetry_->OnExecuted(RequestOutcome::kError, 0);
-      }
-      continue;
-    }
-    key_views_.assign(ev.keys.begin(), ev.keys.end());
-    TextRequest req;
-    req.verb = ev.verb;
-    req.keys = std::span<const std::string_view>(key_views_);
-    req.flags = ev.flags;
-    req.exptime = ev.exptime;
-    req.delay_s = ev.delay_s;
-    req.stats_arg = ev.stats_arg;
-    req.data = ev.data;
-    req.noreply = ev.noreply;
-    current_event_ops_ = &event_ops_[i];
-    keep_open = Handle(req, now, out);
-    current_event_ops_ = nullptr;
-    if (!keep_open) {
-      break;
-    }
-  }
-  // Await every scattered op before reusing the deque: ops past a `quit`
-  // (or simply unconsumed) must not dangle into the next batch.
-  for (CrossShardOp& op : batch_ops_) {
-    AwaitOp(&op);
-  }
-  batch_ops_.clear();
-  event_ops_.clear();
-  return keep_open;
-}
-
-void ServerCore::GatherPeerSnapshots(CoreSnapshot* total) {
-  std::deque<CrossShardOp> ops;
-  for (uint32_t s = 0; s < shard_.count; ++s) {
-    if (s == shard_.self) {
-      continue;
-    }
-    CrossShardOp& op = ops.emplace_back();
-    op.kind = CrossShardOp::Kind::kSnapshot;
-    op.now = batch_now_;
-    shard_.exchange->Submit(shard_.self, s, &op);
-    shard_.exchange->Wake(s);
-  }
-  for (CrossShardOp& op : ops) {
-    AwaitOp(&op);
-    const CoreSnapshot& s = op.snapshot;
-    total->curr_items += s.curr_items;
-    total->bytes_used += s.bytes_used;
-    total->capacity_bytes += s.capacity_bytes;
-    total->evictions += s.evictions;
-    total->expired_reaped += s.expired_reaped;
-    total->cmd_get += s.cmd_get;
-    total->cmd_set += s.cmd_set;
-    total->cmd_touch += s.cmd_touch;
-    total->cmd_delete += s.cmd_delete;
-    total->cmd_flush += s.cmd_flush;
-    total->get_hits += s.get_hits;
-    total->get_misses += s.get_misses;
-    total->sheds += s.sheds;
-    total->protocol_errors += s.protocol_errors;
-    if (s.start_time >= 0 &&
-        (total->start_time < 0 || s.start_time < total->start_time)) {
-      total->start_time = s.start_time;
-    }
-  }
-}
-
-void ServerCore::BroadcastFlush(int64_t now, int64_t delay_s) {
-  std::deque<CrossShardOp> ops;
-  for (uint32_t s = 0; s < shard_.count; ++s) {
-    if (s == shard_.self) {
-      continue;
-    }
-    CrossShardOp& op = ops.emplace_back();
-    op.kind = CrossShardOp::Kind::kFlushAll;
-    op.now = now;
-    op.delay_s = delay_s;
-    shard_.exchange->Submit(shard_.self, s, &op);
-    shard_.exchange->Wake(s);
-  }
-  for (CrossShardOp& op : ops) {
-    AwaitOp(&op);
-  }
-}
-
 
 }  // namespace spotcache::net

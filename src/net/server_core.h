@@ -26,21 +26,19 @@
 // `stats spotcache` emits the full server-telemetry extension (event-loop
 // health, sampled span counts, per-(op, outcome) latency quantiles).
 
-// Sharded serving (multi-core PR): when a ShardContext is attached, the
-// core becomes one of N partitions. Keys it owns (ShardOfKey == self) run
-// the exact single-threaded path — no locks, no atomics; keys owned by
-// other shards are scattered ahead through the ShardExchange mailboxes
-// (ExecuteBatch parses a whole drain batch, submits every remote op up to
-// the next ordering barrier, then executes requests in order, awaiting each
-// remote reply at its emission point so multi-key `get` responses come back
-// in request order). `stats` and `flush_all` are barriers: they gather
-// kSnapshot/kFlushAll round-trips from every peer, so aggregate stats are
-// coherent and flush ordering matches the sequential server.
+// Sharded serving: the store is a PartitionedStore (sharding.h). A
+// standalone core owns a single-partition one; a reactor of the multi-core
+// server shares the server's N partitions with its peers. Either way every
+// store call locks the key's partition around it and the reply is built after
+// the unlock, so a core never waits on another reactor. Command counters are
+// single-writer atomics: the owning reactor bumps them, and `stats` on any
+// reactor sums every core's.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -66,35 +64,23 @@ struct ServerCoreConfig {
   std::string version = "spotcache-1.6.0";
 };
 
-/// Identity + plumbing of one shard in the multi-core server. Default state
-/// (null exchange) means "not sharded" and leaves every hot path untouched.
+class ServerCore;
+
+/// Identity + plumbing of one shard in the multi-core server. The default
+/// (count 1, no shared store) is the standalone core.
 struct ShardContext {
   uint32_t self = 0;
   uint32_t count = 1;
-  ShardExchange* exchange = nullptr;
+  /// The server's partitions, shared by every shard's core.
+  PartitionedStore* store = nullptr;
+  /// Every shard's core, indexed by shard: `stats` sums their counters.
+  const std::vector<const ServerCore*>* cores = nullptr;
   /// Serializes access to the shared SpotCacheSystem (the control-plane
   /// model is not thread-safe; its gate calls are heavyweight already).
   std::mutex* system_mu = nullptr;
   /// The obs bundle the shared system publishes into (resilience counters
   /// live there, not in the per-shard registries).
   Obs* system_obs = nullptr;
-};
-
-/// One parsed-and-owned request (or parse error) from a drain batch. The
-/// sharded path deep-copies out of the parser buffer so remote operations
-/// can be scattered ahead while later requests are still being parsed.
-struct PendingEvent {
-  bool is_error = false;
-  ParseErrorKind error = ParseErrorKind::kUnknownCommand;
-
-  Verb verb = Verb::kGet;
-  std::vector<std::string> keys;
-  uint32_t flags = 0;
-  int64_t exptime = 0;
-  int64_t delay_s = 0;
-  std::string stats_arg;
-  std::string data;
-  bool noreply = false;
 };
 
 class ServerCore : public RequestHandler {
@@ -119,45 +105,43 @@ class ServerCore : public RequestHandler {
   /// protocol errors even on noreply commands).
   void HandleParseError(ParseErrorKind kind, ResponseAssembler* out) override;
 
-  /// Makes this core shard `ctx.self` of `ctx.count`: wires the exchange,
-  /// the shared cas sequence, and the system serialization. Must be called
+  /// Makes this core shard `ctx.self` of `ctx.count`: it serves from the
+  /// server's shared partitions instead of its own store. Must be called
   /// before serving starts.
   void ConfigureShard(const ShardContext& ctx);
-  bool sharded() const {
-    return shard_.exchange != nullptr && shard_.count > 1;
-  }
-  uint32_t shard_index() const { return shard_.self; }
-  uint32_t shard_count() const { return shard_.count; }
+  bool sharded() const { return shard_.count > 1; }
 
-  /// Sharded drain: executes one batch of parsed events in order, scattering
-  /// remote-key operations ahead (up to the next stats/flush_all/quit
-  /// barrier) and reassembling replies in request order. Returns false when
-  /// the connection should close (quit).
-  bool ExecuteBatch(const std::vector<PendingEvent>& events, int64_t now,
-                    ResponseAssembler* out);
-
-  /// Owner-side execution of a cross-shard op against this core's store.
-  /// Runs on this core's thread only; publishes the reply via op->done.
-  void ExecuteCrossOp(CrossShardOp* op);
-
-  /// Drains this shard's mailbox (loop-top servicing).
-  void ServiceInbox();
-
-  /// This shard's aggregatable counter snapshot (thread-safe only on the
-  /// owning thread, or after the loop stopped).
+  /// The whole server's counters: every partition's store counters and
+  /// every shard's command counters. Safe from any thread.
   CoreSnapshot Snapshot() const;
 
-  ItemStore& store() { return store_; }
-  const ItemStore& store() const { return store_; }
+  /// The first partition's store: a standalone core's whole store. Not
+  /// synchronized; for a core whose server is not serving.
+  ItemStore& store() { return store_->at(0).store; }
 
-  uint64_t cmd_get() const { return cmd_get_; }
-  uint64_t cmd_set() const { return cmd_set_; }
-  uint64_t get_hits() const { return get_hits_; }
-  uint64_t get_misses() const { return get_misses_; }
-  uint64_t sheds() const { return sheds_; }
-  uint64_t protocol_errors() const { return protocol_errors_; }
+  uint64_t cmd_get() const { return cmd_get_.value(); }
+  uint64_t cmd_set() const { return cmd_set_.value(); }
+  uint64_t get_hits() const { return get_hits_.value(); }
+  uint64_t get_misses() const { return get_misses_.value(); }
+  uint64_t sheds() const { return sheds_.value(); }
+  uint64_t protocol_errors() const { return protocol_errors_.value(); }
 
  private:
+  /// A counter the owning reactor writes and any reactor's `stats` reads: a
+  /// relaxed load and store, so the hot path pays no locked
+  /// read-modify-write.
+  class OwnedCounter {
+   public:
+    void Increment() {
+      v_.store(v_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+    }
+    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+
+   private:
+    std::atomic<uint64_t> v_{0};
+  };
+
   /// (outcome, bytes) classification of one handled request, reported to
   /// the telemetry layer by Handle().
   struct Outcome {
@@ -182,51 +166,27 @@ class ServerCore : public RequestHandler {
   ServedBy GateGet(std::string_view key);
   void GatePut(std::string_view key, size_t bytes);
 
-  // --- Sharded-batch machinery (no-ops when not sharded). ---------------
-  /// Scatters remote ops for events [from, barrier) into the batch deque,
-  /// wakes the touched shards once, and returns the index scatter should
-  /// resume at (always > from).
-  size_t ScatterWindow(const std::vector<PendingEvent>& events, size_t from);
-  void ScatterEvent(const PendingEvent& ev, size_t index, uint64_t* wake_mask);
-  /// The pre-scattered remote op for key position `ki` of the event being
-  /// executed (null = local key).
-  CrossShardOp* RemoteOp(size_t ki) const {
-    return current_event_ops_ != nullptr && ki < current_event_ops_->size()
-               ? (*current_event_ops_)[ki]
-               : nullptr;
-  }
-  void AwaitOp(CrossShardOp* op) {
-    shard_.exchange->AwaitOp(shard_.self, op);
-  }
-  /// stats barrier: kSnapshot round-trip to every peer, summed into `total`.
-  void GatherPeerSnapshots(CoreSnapshot* total);
-  /// flush_all barrier: kFlushAll round-trip to every peer.
-  void BroadcastFlush(int64_t now, int64_t delay_s);
+  /// Adds this core's command counters into `s`.
+  void AddCounters(CoreSnapshot* s) const;
 
   ServerCoreConfig config_;
-  ItemStore store_;
+  std::unique_ptr<PartitionedStore> own_store_;  // null once sharded
+  PartitionedStore* store_;
   SpotCacheSystem* system_;
   Obs* obs_;
   RequestTelemetry* telemetry_ = nullptr;
   ShardContext shard_;
-  int64_t start_time_ = -1;  // first-request time, for the uptime stat
+  std::atomic<int64_t> start_time_{-1};  // first-request time, for uptime
 
-  // Per-batch scratch for the sharded path (reused across batches).
-  std::deque<CrossShardOp> batch_ops_;  // stable addresses; awaited in-batch
-  std::vector<std::vector<CrossShardOp*>> event_ops_;  // per event, per key
-  const std::vector<CrossShardOp*>* current_event_ops_ = nullptr;
-  std::vector<std::string_view> key_views_;  // TextRequest reconstruction
-  int64_t batch_now_ = 0;
-
-  uint64_t cmd_get_ = 0;
-  uint64_t cmd_set_ = 0;
-  uint64_t cmd_touch_ = 0;
-  uint64_t cmd_delete_ = 0;
-  uint64_t cmd_flush_ = 0;
-  uint64_t get_hits_ = 0;
-  uint64_t get_misses_ = 0;
-  uint64_t sheds_ = 0;
-  uint64_t protocol_errors_ = 0;
+  OwnedCounter cmd_get_;
+  OwnedCounter cmd_set_;
+  OwnedCounter cmd_touch_;
+  OwnedCounter cmd_delete_;
+  OwnedCounter cmd_flush_;
+  OwnedCounter get_hits_;
+  OwnedCounter get_misses_;
+  OwnedCounter sheds_;
+  OwnedCounter protocol_errors_;
 
   // Fleet counters (resolved once; null when obs is detached).
   Counter* obs_requests_ = nullptr;

@@ -49,17 +49,16 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config,
       system_(system),
       system_obs_(system_obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
-      exchange_(shard_count_),
+      store_(shard_count_,
+             std::max<size_t>(config.base.core.capacity_bytes / shard_count_,
+                              1)),
       hub_(static_cast<size_t>(shard_count_) + 1, shard_count_) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
                      ReusePortSupported();
-  const size_t per_shard_capacity =
-      std::max<size_t>(config_.base.core.capacity_bytes / shard_count_, 1);
   for (uint32_t i = 0; i < shard_count_; ++i) {
     NetServerConfig c = config_.base;
-    c.core.capacity_bytes = per_shard_capacity;
     if (i > 0) {
       // The scrape listener, metrics dump file, and trace surface live on
       // shard 0; peers keep only their private registries + the shared span
@@ -84,37 +83,36 @@ bool ShardedServer::Start() {
     if (clock_) {
       shard->SetClock(clock_);
     }
+    ShardContext ctx;
+    ctx.self = i;
+    ctx.count = shard_count_;
+    ctx.store = &store_;
+    ctx.cores = &cores_;
     if (shard_count_ > 1) {
-      ShardContext ctx;
-      ctx.self = i;
-      ctx.count = shard_count_;
-      ctx.exchange = &exchange_;
       if (system_ != nullptr) {
         ctx.system_mu = &system_mu_;
         ctx.system_obs = system_obs_;
       }
-      shard->ConfigureShard(ctx);
       shard->AttachMetricsHub(&hub_, i);
       shard->SetDumpMutex(&dump_mu_);
-      if (!using_reuseport_ && i == 0) {
-        shard->SetDispatcher(true);
-      }
     }
+    shard->ConfigureShard(ctx);
     if (!shard->Start()) {
       SPOTCACHE_LOG(kError) << "shard " << i << " failed to start";
       shards_.clear();
       shard_obs_.clear();
+      cores_.clear();
       return false;
     }
+    cores_.push_back(&shard->core());
     shards_.push_back(std::move(shard));
   }
-  if (shard_count_ > 1) {
-    for (uint32_t i = 0; i < shard_count_; ++i) {
-      exchange_.SetWakeFd(i, shards_[i]->wake_fd());
-      exchange_.SetExecutor(i, [s = shards_[i].get()](CrossShardOp* op) {
-        s->ExecuteShardOp(op);
-      });
+  if (shard_count_ > 1 && !using_reuseport_) {
+    std::vector<NetServer*> targets;
+    for (auto& shard : shards_) {
+      targets.push_back(shard.get());
     }
+    shards_[0]->SetDispatcher(std::move(targets));
   }
   return true;
 }
@@ -162,29 +160,7 @@ void ShardedServer::SetClock(std::function<int64_t()> now_unix) {
 }
 
 CoreSnapshot ShardedServer::TotalSnapshot() const {
-  CoreSnapshot total;
-  for (const auto& shard : shards_) {
-    const CoreSnapshot s = shard->core().Snapshot();
-    total.curr_items += s.curr_items;
-    total.bytes_used += s.bytes_used;
-    total.capacity_bytes += s.capacity_bytes;
-    total.evictions += s.evictions;
-    total.expired_reaped += s.expired_reaped;
-    total.cmd_get += s.cmd_get;
-    total.cmd_set += s.cmd_set;
-    total.cmd_touch += s.cmd_touch;
-    total.cmd_delete += s.cmd_delete;
-    total.cmd_flush += s.cmd_flush;
-    total.get_hits += s.get_hits;
-    total.get_misses += s.get_misses;
-    total.sheds += s.sheds;
-    total.protocol_errors += s.protocol_errors;
-    if (s.start_time >= 0 &&
-        (total.start_time < 0 || s.start_time < total.start_time)) {
-      total.start_time = s.start_time;
-    }
-  }
-  return total;
+  return shards_.empty() ? CoreSnapshot{} : shards_[0]->core().Snapshot();
 }
 
 }  // namespace spotcache::net

@@ -1,22 +1,27 @@
-// ShardedServer: N reactor shards behind one port.
+// ShardedServer: N reactor shards behind one port, over one partitioned
+// cache.
 //
-// Each shard is a full NetServer — private epoll loop, private ItemStore
-// partition, private RequestTelemetry, private Obs registry — running on its
-// own thread. Keys are partitioned by ShardOfKey (splitmix64-finalized
-// HashString modulo shard count), so the per-request get/set path on a
-// shard-local key touches no locks and no atomics. Cross-shard keys travel
-// through the ShardExchange's bounded SPSC mailboxes (see sharding.h).
+// Each shard is a full NetServer — private epoll loop, private
+// RequestTelemetry, private Obs registry — running on its own thread. The
+// cache is owned here: N lock-striped partitions (PartitionedStore,
+// sharding.h), each an ItemStore with capacity/N and its own mutex, and a key
+// lives in partition ShardOfKey(key, N). Every shard serves every key inline:
+// it locks the key's partition around the store call and builds the reply
+// after the unlock, so a request never waits for another reactor to run.
 //
 // Accept strategy: by default every shard binds the same port with
 // SO_REUSEPORT and the kernel spreads connections by 4-tuple. Where
 // SO_REUSEPORT is unavailable (or when `force_dispatch` is set — the test
 // hook), shard 0 binds alone, accepts for everyone, and round-robins the
-// accepted fds to its peers via kAdoptConn handoffs.
+// accepted fds into its peers' hand-off queues (NetServer::HandOff: a
+// mutex-guarded fd list plus the peer's eventfd); shard 0 never waits for the
+// peer to adopt it.
 //
 // Aggregation surfaces:
-//   * `stats` / `stats spotcache` — the serving shard gathers kSnapshot
-//     round-trips from every peer at the stats barrier, so totals are
-//     coherent (ServerCore::GatherPeerSnapshots).
+//   * `stats` / `stats spotcache` — the serving shard sums every partition's
+//     store counters, one partition lock at a time, and every shard's
+//     command counters, which are single-writer relaxed atomics
+//     (ServerCore::Snapshot).
 //   * Prometheus scrape (`--metrics-port`, shard 0's loop) — shards
 //     epoch-publish registry copies into a MetricsHub; the scrape renders
 //     the aggregate, never a mid-update counter (metrics_hub.h).
@@ -24,8 +29,9 @@
 //     shard (async-signal-safe); dumps append to one shared span file under
 //     a shared mutex, and shard 0 writes the hub-aggregated metrics file.
 //
-// threads == 1 is a true passthrough: one un-sharded NetServer, no exchange,
-// no hub, no extra atomics — byte-identical behavior to the plain server.
+// threads == 1 is one NetServer over one partition holding the whole
+// capacity, with no hub and no shared cas: byte-identical to the plain
+// server.
 
 #pragma once
 
@@ -46,8 +52,8 @@ class SpotCacheSystem;
 
 namespace spotcache::net {
 
-/// Wake masks and the dispatch round-robin assume shard indices fit a
-/// uint64_t bitmask.
+/// Upper bound on reactor threads, and so on partitions: one of each per
+/// shard.
 inline constexpr uint32_t kMaxShards = 64;
 
 struct ShardedServerConfig {
@@ -58,8 +64,8 @@ struct ShardedServerConfig {
   uint32_t threads = 1;  // clamped to [1, kMaxShards]
   /// Pin shard i to cpu (i % hardware_concurrency).
   bool pin_threads = false;
-  /// Test hook: use the kAdoptConn accept fallback even where SO_REUSEPORT
-  /// is available.
+  /// Test hook: use the shard-0 accept fallback even where SO_REUSEPORT is
+  /// available.
   bool force_dispatch = false;
 };
 
@@ -102,8 +108,8 @@ class ShardedServer {
   Obs& shard_obs(size_t i) { return *shard_obs_[i]; }
   MetricsHub& hub() { return hub_; }
 
-  /// Sum of every shard's core counters. Only coherent once the loops have
-  /// stopped (final stats reporting).
+  /// The whole server's counters (what `stats` reports). Safe while
+  /// serving.
   CoreSnapshot TotalSnapshot() const;
 
  private:
@@ -114,12 +120,13 @@ class ShardedServer {
   uint32_t shard_count_;
   bool using_reuseport_ = false;
 
-  ShardExchange exchange_;
+  PartitionedStore store_;
   MetricsHub hub_;  // one slot per shard + one for the control registry
   std::mutex system_mu_;
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
   std::vector<std::unique_ptr<NetServer>> shards_;
+  std::vector<const ServerCore*> cores_;  // shards_[i]->core(), for stats
 };
 
 }  // namespace spotcache::net

@@ -1,100 +1,26 @@
 #include "src/net/sharding.h"
 
-#include <unistd.h>
-
-#include <thread>
-
 namespace spotcache::net {
 
-namespace {
-
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-}  // namespace
-
-ShardExchange::ShardExchange(uint32_t shard_count, size_t ring_capacity)
-    : shard_count_(shard_count),
-      executors_(shard_count),
-      wake_fds_(shard_count, -1) {
-  rings_.reserve(static_cast<size_t>(shard_count) * shard_count);
-  for (uint32_t i = 0; i < shard_count * shard_count; ++i) {
-    rings_.push_back(std::make_unique<SpscOpRing>(ring_capacity));
-  }
-}
-
-void ShardExchange::SetExecutor(uint32_t self,
-                                std::function<void(CrossShardOp*)> fn) {
-  executors_[self] = std::move(fn);
-}
-
-void ShardExchange::SetWakeFd(uint32_t to, int fd) { wake_fds_[to] = fd; }
-
-void ShardExchange::Submit(uint32_t from, uint32_t to, CrossShardOp* op) {
-  SpscOpRing& r = ring(from, to);
-  while (!r.Push(op)) {
-    // Ring full: the target is behind. Service our own inbox (the target
-    // may itself be blocked on an op we owe it), nudge it, and retry.
-    ServiceInbox(from);
-    Wake(to);
-    std::this_thread::yield();
-  }
-}
-
-void ShardExchange::Wake(uint32_t to) {
-  const int fd = wake_fds_[to];
-  if (fd >= 0) {
-    const uint64_t one = 1;
-    (void)!::write(fd, &one, sizeof(one));
-  }
-}
-
-size_t ShardExchange::ServiceInbox(uint32_t self) {
-  size_t serviced = 0;
-  const auto& exec = executors_[self];
-  for (uint32_t from = 0; from < shard_count_; ++from) {
-    if (from == self) {
-      continue;
-    }
-    SpscOpRing& r = ring(from, self);
-    while (CrossShardOp* op = r.Pop()) {
-      exec(op);
-      ++serviced;
-    }
-  }
-  return serviced;
-}
-
-void ShardExchange::AwaitOp(uint32_t self, CrossShardOp* op) {
-  if (op->done.load(std::memory_order_acquire)) {
-    return;
-  }
-  uint32_t spins = 0;
-  for (;;) {
-    const size_t serviced = ServiceInbox(self);
-    if (op->done.load(std::memory_order_acquire)) {
-      return;
-    }
-    if (serviced == 0) {
-      // Nothing to do locally: the owner is mid-batch. Back off so a
-      // core-oversubscribed host (CI runners) still schedules the owner.
-      if (++spins >= 64) {
-        std::this_thread::yield();
-        spins = 0;
-      } else {
-        CpuRelax();
-      }
+PartitionedStore::PartitionedStore(uint32_t count, size_t partition_capacity) {
+  parts_.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    parts_.push_back(std::make_unique<StorePartition>(partition_capacity));
+    if (count > 1) {
+      parts_.back()->store.set_shared_cas(&shared_cas_);
     }
   }
 }
 
-void ShardExchange::NotifyStopped() {
-  stopped_.fetch_add(1, std::memory_order_acq_rel);
+void PartitionedStore::AddStoreStats(CoreSnapshot* s) {
+  for (const auto& part : parts_) {
+    std::lock_guard<std::mutex> lock(part->mu);
+    s->curr_items += part->store.item_count();
+    s->bytes_used += part->store.bytes_used();
+    s->capacity_bytes += part->store.capacity_bytes();
+    s->evictions += part->store.evictions();
+    s->expired_reaped += part->store.expired_reaped();
+  }
 }
 
 }  // namespace spotcache::net

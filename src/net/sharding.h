@@ -1,40 +1,34 @@
-// Cross-shard plumbing for the multi-core serving path.
+// Key placement and the lock-striped store of the multi-core server.
 //
-// The sharded server runs N reactor threads, each owning a private epoll
-// loop, a private ItemStore partition, and private telemetry. Keys are
-// assigned to shards by the same splitmix64-finalized hash the telemetry and
-// routing tiers already compute (HashString): ShardOfKey is a pure function
-// of (key, shard_count), so the assignment is stable across restarts and
-// identical in the server, the tests, and any external tooling.
+// The sharded server runs N reactor threads over one cache split into N
+// partitions, the way memcached's worker threads share one item store. A key
+// lives in partition ShardOfKey(key, N): the splitmix64-finalized hash the
+// telemetry and routing tiers already compute (HashString), modulo N. The
+// placement is a pure function of (key, N), so it is stable across restarts
+// and identical in the server, the tests, and any external tooling.
 //
-// Connections, however, land on arbitrary shards (SO_REUSEPORT spreads them
-// by 4-tuple), so a request handled by shard A may name keys owned by shard
-// B. Those operations travel through a bounded SPSC mailbox per ordered
-// shard pair: A fills a CrossShardOp, pushes a pointer into ring (A -> B),
-// and B executes it against its own store on its own thread. Only the two
-// ring indices and the op's `done` flag are atomic; item payloads cross
-// threads as shared_ptr<const string> (immutable, refcounted), and the
-// release/acquire pair on `done` publishes the reply fields. Shard-local
-// operations — the common case the partition function is chosen for — touch
-// no atomics at all.
+// Each partition is an ItemStore with its own mutex. Any reactor serves any
+// key inline: it locks the key's partition, makes the store call, copies out
+// what the reply needs (an Item* is only valid under the lock; the payload's
+// shared_ptr pin outlives it) and unlocks. A caller holds at most one
+// partition lock at a time and takes no other lock under it, so there is no
+// lock order to get wrong. Whole-store sweeps (`stats`, `flush_all`) visit
+// the partitions one at a time.
 //
-// Deadlock freedom: a shard waiting for a reply keeps servicing its own
-// inbox (executing other shards' ops, which are purely store-local and never
-// recurse into the exchange), so two shards waiting on each other both make
-// progress. At shutdown every shard drains its inbox until all shards have
-// left their loops (NotifyStopped/AllStopped), so a waiter is never stranded
-// by a peer that exited first.
+// With more than one partition, every partition draws cas values from one
+// shared atomic, so cas stays unique across partitions and, for a sequential
+// client, numbers exactly as the single-partition store does.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
+#include "src/net/item_store.h"
 #include "src/routing/hash.h"
 
 namespace spotcache::net {
@@ -48,8 +42,8 @@ inline uint32_t ShardOfKey(std::string_view key, uint32_t shard_count) {
   return static_cast<uint32_t>(HashString(key) % shard_count);
 }
 
-/// Aggregatable counter snapshot of one shard's ServerCore + ItemStore,
-/// filled by the owning thread (kSnapshot op) so `stats` sums are coherent.
+/// Aggregatable counter snapshot of the whole server: every partition's
+/// store counters plus every reactor's command counters.
 struct CoreSnapshot {
   uint64_t curr_items = 0;
   uint64_t bytes_used = 0;
@@ -68,135 +62,34 @@ struct CoreSnapshot {
   int64_t start_time = -1;
 };
 
-/// One cross-shard operation. Allocated by the requesting shard (stable
-/// address until the batch ends), executed by the owning shard. Request
-/// fields are published by the ring push (release on the ring tail); reply
-/// fields are published by `done` (release store / acquire load).
-struct CrossShardOp {
-  enum class Kind : uint8_t {
-    kGet,       // key -> found/flags/cas/data
-    kSet,       // key+flags+exptime+data -> stored
-    kAdd,
-    kReplace,
-    kDelete,    // key -> found (deleted-live)
-    kTouch,     // key+exptime -> found
-    kFlushAll,  // now+delay broadcast
-    kSnapshot,  // -> CoreSnapshot (coherent `stats` aggregation)
-    kAdoptConn, // fd handoff (hash-dispatch accept fallback)
-  };
+/// One lock stripe: an ItemStore and the mutex every access to it holds.
+struct StorePartition {
+  explicit StorePartition(size_t capacity_bytes) : store(capacity_bytes) {}
 
-  Kind kind = Kind::kGet;
-  std::string key;
-  std::string data;
-  uint32_t flags = 0;
-  int64_t exptime = 0;
-  int64_t delay_s = 0;
-  int64_t now = 0;  // requester's expiry clock, so views stay consistent
-  int fd = -1;      // kAdoptConn
-
-  // Reply (owner-written, valid after `done` reads true).
-  bool found = false;
-  bool stored = false;
-  uint32_t rflags = 0;
-  uint64_t rcas = 0;
-  std::shared_ptr<const std::string> rdata;
-  CoreSnapshot snapshot;
-
-  std::atomic<bool> done{false};
+  std::mutex mu;
+  ItemStore store;
 };
 
-/// Bounded single-producer single-consumer pointer ring. Producer is the
-/// requesting shard, consumer the owning shard; each (from, to) pair gets
-/// its own ring, which is what makes the SPSC contract hold.
-class SpscOpRing {
+/// The server's cache as `count` lock-striped partitions of
+/// `partition_capacity` bytes each.
+class PartitionedStore {
  public:
-  explicit SpscOpRing(size_t capacity) : slots_(capacity) {}
+  PartitionedStore(uint32_t count, size_t partition_capacity);
 
-  bool Push(CrossShardOp* op) {
-    const size_t t = tail_.load(std::memory_order_relaxed);
-    if (t - head_.load(std::memory_order_acquire) == slots_.size()) {
-      return false;  // full: caller services its own inbox and retries
-    }
-    slots_[t % slots_.size()].store(op, std::memory_order_relaxed);
-    tail_.store(t + 1, std::memory_order_release);
-    return true;
+  uint32_t count() const { return static_cast<uint32_t>(parts_.size()); }
+  StorePartition& at(uint32_t i) { return *parts_[i]; }
+  /// The partition that owns `key`.
+  StorePartition& of(std::string_view key) {
+    return *parts_[ShardOfKey(key, count())];
   }
 
-  CrossShardOp* Pop() {
-    const size_t h = head_.load(std::memory_order_relaxed);
-    if (h == tail_.load(std::memory_order_acquire)) {
-      return nullptr;
-    }
-    CrossShardOp* op = slots_[h % slots_.size()].load(std::memory_order_relaxed);
-    head_.store(h + 1, std::memory_order_release);
-    return op;
-  }
-
-  bool Empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
-  }
+  /// Adds every partition's store counters into `s`, holding one partition
+  /// lock at a time.
+  void AddStoreStats(CoreSnapshot* s);
 
  private:
-  std::atomic<size_t> head_{0};
-  std::atomic<size_t> tail_{0};
-  std::vector<std::atomic<CrossShardOp*>> slots_;
-};
-
-/// The N x N mailbox fabric plus per-shard executors and wakeups.
-class ShardExchange {
- public:
-  explicit ShardExchange(uint32_t shard_count, size_t ring_capacity = 256);
-
-  uint32_t shard_count() const { return shard_count_; }
-
-  /// Installs shard `self`'s op executor (called from ServiceInbox on the
-  /// owning thread). Must be set before the shard's loop starts.
-  void SetExecutor(uint32_t self, std::function<void(CrossShardOp*)> fn);
-  /// Registers shard `to`'s eventfd so producers can interrupt its
-  /// epoll_wait after pushing ops.
-  void SetWakeFd(uint32_t to, int fd);
-
-  /// Enqueues `op` for shard `to`. Blocks (servicing `from`'s own inbox, so
-  /// no deadlock) while the ring is full. Does NOT wake the target; callers
-  /// batch pushes and call Wake(to) once per scatter.
-  void Submit(uint32_t from, uint32_t to, CrossShardOp* op);
-
-  /// eventfd nudge so a sleeping shard notices its inbox.
-  void Wake(uint32_t to);
-
-  /// Pops and executes every op currently queued for shard `self`.
-  /// Returns the number of ops serviced. Called from the owning thread only.
-  size_t ServiceInbox(uint32_t self);
-
-  /// Spin-waits for `op->done`, servicing `self`'s inbox between polls so
-  /// mutually-waiting shards make progress.
-  void AwaitOp(uint32_t self, CrossShardOp* op);
-
-  /// Shutdown protocol: each shard calls NotifyStopped() when it leaves its
-  /// loop, then keeps servicing its inbox until AllStopped() — after which
-  /// no new ops can exist (every op is awaited within its creating batch).
-  void NotifyStopped();
-  bool AllStopped() const {
-    return stopped_.load(std::memory_order_acquire) >= shard_count_;
-  }
-
-  /// The global cas sequence shared by all shard ItemStores, so cas values
-  /// stay unique (and, for sequential clients, identical to the
-  /// single-threaded server's).
-  std::atomic<uint64_t>* shared_cas() { return &shared_cas_; }
-
- private:
-  SpscOpRing& ring(uint32_t from, uint32_t to) {
-    return *rings_[from * shard_count_ + to];
-  }
-
-  uint32_t shard_count_;
-  std::vector<std::unique_ptr<SpscOpRing>> rings_;  // [from * N + to]
-  std::vector<std::function<void(CrossShardOp*)>> executors_;
-  std::vector<int> wake_fds_;
-  std::atomic<uint32_t> stopped_{0};
   std::atomic<uint64_t> shared_cas_{0};
+  std::vector<std::unique_ptr<StorePartition>> parts_;
 };
 
 }  // namespace spotcache::net

@@ -518,9 +518,9 @@ TEST(ProtocolConformance, ConnectionCapAndStartFailures) {
 }
 
 // The whole wire table, byte-for-byte, through a ShardedServer. The
-// partition, the cross-shard mailboxes, the shared cas sequence, and the
-// stats/flush barriers must be invisible on the wire: expectations are the
-// exact same bytes the single-threaded server produces.
+// partition, the cross-shard keys, the shared cas sequence, and the
+// whole-store stats/flush sweeps must be invisible on the wire: expectations
+// are the exact same bytes the single-threaded server produces.
 void RunTableSharded(uint32_t threads, bool force_dispatch) {
   std::atomic<int64_t> now{kT0};
   ShardedServerConfig config;

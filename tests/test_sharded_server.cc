@@ -1,13 +1,13 @@
-// ShardedServer integration (ISSUE 8): N reactor threads, partitioned
-// ItemStores, cross-shard multigets, coherent aggregation surfaces.
+// ShardedServer integration: N reactor threads over lock-striped ItemStore
+// partitions, cross-shard multigets, coherent aggregation surfaces.
 //
 // The soaks use self-verifying values (value encodes its key and version) so
-// any cross-shard routing bug — a reply stitched to the wrong request, a
-// remote op executed against the wrong partition — corrupts a comparison
-// instead of passing silently. The scrape test runs under live multi-shard
-// load and is part of the TSan CI job: it pins the "metrics listener never
-// reads a shard counter mid-update" property (epoch-snapshot aggregation,
-// metrics_hub.h).
+// any cross-shard routing bug — a reply stitched to the wrong request, a key
+// served from the wrong partition, a value torn by a racing writer —
+// corrupts a comparison instead of passing silently. The scrape test runs
+// under live multi-shard load and is part of the TSan CI job: it pins the
+// "metrics listener never reads a shard counter mid-update" property
+// (epoch-snapshot aggregation, metrics_hub.h).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -89,7 +90,7 @@ long SpotcacheStat(NetClient& client, const std::string& name) {
 // Multi-connection soak with self-verifying values. Each worker owns a key
 // range but every key is named so ShardOfKey spreads it — most operations a
 // worker issues land on a different shard than its connection, exercising
-// the cross-shard mailboxes continuously.
+// cross-shard keys continuously.
 TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
   ShardedServer server(FourShardConfig());
   ASSERT_TRUE(server.Start());
@@ -146,12 +147,20 @@ TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
             for (int d = 0; d < 4; ++d) {
               const int kk = (k + d * 13) % kKeysPerWorker;
               ks.push_back(kk);
-              req += " " + key_of(kk);
+              req += ' ';
+              req += key_of(kk);
             }
             if (!client.SendRaw(req + "\r\n")) {
               ++failures;
               return;
             }
+            // True when a VALUE header names key `kk`.
+            const auto names = [&](const std::string& header, int kk) {
+              std::string needle(1, ' ');
+              needle += key_of(kk);
+              needle += ' ';
+              return header.find(needle) != std::string::npos;
+            };
             // Replies come in request order; verify each VALUE matches the
             // version we last stored for that key.
             size_t next = 0;
@@ -169,9 +178,7 @@ TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
                 break;
               }
               // Find which of our four keys this header names.
-              while (next < ks.size() &&
-                     line->find(" " + key_of(ks[next]) + " ") ==
-                         std::string::npos) {
+              while (next < ks.size() && !names(*line, ks[next])) {
                 ++next;  // earlier keys in the request missed
               }
               const auto data = client.ReadLine();
@@ -229,9 +236,13 @@ TEST(ShardedServer, ScrapeUnderMultiShardLoad) {
         return;
       }
       for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        const std::string key =
-            "scr:" + std::to_string(w) + ":" + std::to_string(i % 256);
-        client.Set(key, "v" + std::to_string(i));
+        std::string key = "scr:";
+        key += std::to_string(w);
+        key += ':';
+        key += std::to_string(i % 256);
+        std::string value = "v";
+        value += std::to_string(i);
+        client.Set(key, value);
         client.Get(key);
       }
       client.Close();
@@ -268,8 +279,9 @@ TEST(ShardedServer, ScrapeUnderMultiShardLoad) {
   EXPECT_GT(agg.CounterValue("net/requests"), 0);
 }
 
-// kAdoptConn accept fallback: shard 0 owns the only listener and round-robins
-// accepted connections to its peers; serving must be indistinguishable.
+// Accept fallback: shard 0 owns the only listener and round-robins accepted
+// connections into its peers' hand-off queues; serving must be
+// indistinguishable.
 TEST(ShardedServer, DispatchFallbackServesAllShards) {
   ShardedServerConfig config = FourShardConfig();
   config.threads = 3;
@@ -286,10 +298,12 @@ TEST(ShardedServer, DispatchFallbackServesAllShards) {
     clients.push_back(std::make_unique<NetClient>());
     ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server.port()));
     const std::string key = "dsp:" + std::to_string(i);
-    ASSERT_TRUE(clients.back()->Set(key, "v" + std::to_string(i)));
+    std::string value = "v";
+    value += std::to_string(i);
+    ASSERT_TRUE(clients.back()->Set(key, value));
     const auto got = clients.back()->Get(key);
     ASSERT_TRUE(got.found);
-    EXPECT_EQ(got.value, "v" + std::to_string(i));
+    EXPECT_EQ(got.value, value);
     shard_seen.push_back(SpotcacheStat(*clients.back(), "spotcache_shard"));
   }
   std::sort(shard_seen.begin(), shard_seen.end());
@@ -352,6 +366,225 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   const CoreSnapshot total = server.TotalSnapshot();
   EXPECT_EQ(total.curr_items, 1u);
   EXPECT_EQ(total.cmd_flush, 1u);
+}
+
+// Many reactors writing and reading the same keys at once. With
+// force_dispatch, connections land on distinct reactors round-robin, so every
+// partition is written from several threads while `stats` and `flush_all`
+// sweep all of them. Values describe themselves (key, writer, sequence, and a
+// fill whose length and byte follow from those), so a torn or misrouted value
+// cannot pass. A watchdog aborts the run if it stalls: a lock-order deadlock
+// between reactors would otherwise hang the suite instead of failing it.
+TEST(ShardedServer, SharedKeysStayWholeAcrossReactors) {
+  ShardedServerConfig config = FourShardConfig();
+  config.force_dispatch = true;
+  ShardedServer server(config);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&finished] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (!finished.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "SharedKeysStayWholeAcrossReactors: no progress "
+                             "within 120 s (deadlock?)\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+
+  // Shared keys whose owners span every partition.
+  constexpr int kKeys = 16;
+  std::vector<std::string> keys;
+  std::vector<bool> owner_seen(4, false);
+  for (int k = 0; k < kKeys; ++k) {
+    std::string key = "shared:";
+    key += std::to_string(k);
+    owner_seen[ShardOfKey(key, 4)] = true;
+    keys.push_back(std::move(key));
+  }
+  ASSERT_EQ(std::count(owner_seen.begin(), owner_seen.end(), true), 4);
+
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 40;
+  constexpr int kSetsPerBatch = 16;
+  const auto fill_of = [](int w, int seq) {
+    return static_cast<char>('a' + (w * 7 + seq) % 26);
+  };
+  const auto value_of = [&](const std::string& key, int w, int seq) {
+    std::string v = key;
+    v += '|';
+    v += std::to_string(w);
+    v += '|';
+    v += std::to_string(seq);
+    v += '|';
+    v.append(static_cast<size_t>(40 + (seq * 131) % 1500), fill_of(w, seq));
+    return v;
+  };
+  // True when `v` is exactly what some writer stored under `key`.
+  const auto whole = [&](const std::string& key, const std::string& v) {
+    const size_t a = v.find('|');
+    const size_t b = a == std::string::npos ? a : v.find('|', a + 1);
+    const size_t c = b == std::string::npos ? b : v.find('|', b + 1);
+    if (c == std::string::npos || v.compare(0, a, key) != 0) {
+      return false;
+    }
+    const int w = std::atoi(v.c_str() + a + 1);
+    const int seq = std::atoi(v.c_str() + b + 1);
+    return w >= 0 && w < kWriters && seq >= 0 &&
+           seq < kBatches * kSetsPerBatch && v == value_of(key, w, seq);
+  };
+
+  std::atomic<uint64_t> sets_sent{0};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> hits_checked{0};
+  std::vector<std::thread> clients;
+  // Writers: pipelined batches of sets, so one recv carries many keys for
+  // every partition.
+  for (int w = 0; w < kWriters; ++w) {
+    clients.emplace_back([&, w] {
+      NetClient client;
+      if (!client.Connect("127.0.0.1", server.port())) {
+        ++failures;
+        writers_left.fetch_sub(1);
+        return;
+      }
+      int seq = 0;
+      for (int b = 0; b < kBatches; ++b) {
+        std::string wire;
+        for (int i = 0; i < kSetsPerBatch; ++i, ++seq) {
+          const std::string& key = keys[(seq * 5 + w) % kKeys];
+          const std::string v = value_of(key, w, seq);
+          wire += "set ";
+          wire += key;
+          wire += " 0 0 ";
+          wire += std::to_string(v.size());
+          wire += "\r\n";
+          wire += v;
+          wire += "\r\n";
+        }
+        if (!client.SendRaw(wire)) {
+          ++failures;
+          break;
+        }
+        sets_sent.fetch_add(kSetsPerBatch);
+        for (int i = 0; i < kSetsPerBatch; ++i) {
+          if (client.ReadLine() != "STORED") {
+            ++failures;
+          }
+        }
+      }
+      client.Close();
+      writers_left.fetch_sub(1);
+    });
+  }
+  // Readers: one multiget over every shared key, repeated while writers run.
+  std::string multiget = "get";
+  for (const std::string& key : keys) {
+    multiget += ' ';
+    multiget += key;
+  }
+  multiget += "\r\n";
+  for (int r = 0; r < 2; ++r) {
+    clients.emplace_back([&] {
+      NetClient client;
+      if (!client.Connect("127.0.0.1", server.port())) {
+        ++failures;
+        return;
+      }
+      while (writers_left.load() > 0) {
+        if (!client.SendRaw(multiget)) {
+          ++failures;
+          return;
+        }
+        for (;;) {
+          const auto header = client.ReadLine();
+          if (!header.has_value()) {
+            ++failures;
+            return;
+          }
+          if (*header == "END") {
+            break;
+          }
+          // VALUE <key> <flags> <bytes>
+          char key[64] = {0};
+          unsigned flags = 0;
+          size_t bytes = 0;
+          if (std::sscanf(header->c_str(), "VALUE %63s %u %zu", key, &flags,
+                          &bytes) != 3) {
+            ++failures;
+            return;
+          }
+          const auto data = client.ReadBytes(bytes + 2);
+          if (!data.has_value()) {
+            ++failures;
+            return;
+          }
+          if (!whole(key, data->substr(0, bytes)) ||
+              data->compare(bytes, 2, "\r\n") != 0) {
+            ++failures;
+          }
+          ++hits_checked;
+        }
+      }
+      client.Close();
+    });
+  }
+  // Whole-server sweeps racing the writers: stats and flush_all.
+  clients.emplace_back([&] {
+    NetClient client;
+    if (!client.Connect("127.0.0.1", server.port())) {
+      ++failures;
+      return;
+    }
+    while (writers_left.load() > 0) {
+      if (!client.Stats().has_value()) {
+        ++failures;
+        return;
+      }
+    }
+    client.Close();
+  });
+  clients.emplace_back([&] {
+    NetClient client;
+    if (!client.Connect("127.0.0.1", server.port())) {
+      ++failures;
+      return;
+    }
+    while (writers_left.load() > 0) {
+      if (!client.FlushAll(0)) {
+        ++failures;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    client.Close();
+  });
+  for (auto& t : clients) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(hits_checked.load(), 0u);
+  EXPECT_EQ(sets_sent.load(),
+            static_cast<uint64_t>(kWriters * kBatches * kSetsPerBatch));
+
+  // Every set sent was counted once, whichever reactor served it.
+  {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    const auto stats = client.Stats();
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(std::stoull(stats->at("cmd_set")), sets_sent.load());
+    client.Close();
+  }
+  server.Stop();
+  loop.join();
+  finished.store(true);
+  watchdog.join();
 }
 
 }  // namespace
