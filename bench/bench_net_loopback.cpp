@@ -74,6 +74,13 @@ double Secs(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// "k<n>", the working set's key names.
+std::string KeyName(uint64_t n) {
+  std::string key = "k";
+  key += std::to_string(n);
+  return key;
+}
+
 /// Round-trips pipelined batches of `depth` gets for ~`budget_s` seconds;
 /// returns ops/s.
 double PipelinedGets(net::NetClient& client, double budget_s, int depth) {
@@ -109,7 +116,7 @@ double SyncGets(net::NetClient& client, double budget_s) {
   uint64_t key = 0;
   const auto t0 = Clock::now();
   while (Secs(t0, Clock::now()) < budget_s) {
-    const auto r = client.Get("k" + std::to_string(key % kKeys));
+    const auto r = client.Get(KeyName(key % kKeys));
     if (!r.found) {
       return 0.0;
     }
@@ -172,7 +179,7 @@ double PipelinedGetRun(bool instrumented, double budget_s) {
       const std::string value(kValueBytes, 'v');
       bool ok = true;
       for (int k = 0; k < kKeys && ok; ++k) {
-        ok = client.Set("k" + std::to_string(k), value);
+        ok = client.Set(KeyName(k), value);
       }
       if (ok) {
         ops = PipelinedGets(client, budget_s, kDepth);
@@ -234,7 +241,7 @@ double ShardedPipelinedGetRun(uint32_t threads, double budget_s) {
     ok = prefill.Connect("127.0.0.1", server.port());
     const std::string value(kValueBytes, 'v');
     for (int k = 0; k < kKeys && ok; ++k) {
-      ok = prefill.Set("k" + std::to_string(k), value);
+      ok = prefill.Set(KeyName(k), value);
     }
     prefill.Close();
   }
@@ -437,7 +444,7 @@ int main(int argc, char** argv) {
   // Preload the working set so every get hits.
   const std::string value(kValueBytes, 'v');
   for (int k = 0; k < kKeys; ++k) {
-    if (!client.Set("k" + std::to_string(k), value)) {
+    if (!client.Set(KeyName(k), value)) {
       std::fprintf(stderr, "preload failed\n");
       return 1;
     }

@@ -51,8 +51,8 @@ ItemStore::StoreResult ItemStore::Upsert(std::string_view key, uint32_t flags,
   }
   evict_now_ = now;
   lru_.Put(key,
-           Item{std::make_shared<const std::string>(data), flags,
-                ResolveExptime(exptime, now), now, NextCas()},
+           Item{Payload::Make(data), flags, ResolveExptime(exptime, now), now,
+                NextCas()},
            cost);
   return StoreResult::kStored;
 }

@@ -8,9 +8,9 @@
 // per-item header, not a measured node size. It decides which items a
 // capacity holds, so changing it changes every eviction.
 //
-// Payloads are held behind shared_ptr<const string> so the response
-// assembler can reference them zero-copy across a batched writev even if a
-// later request in the same batch evicts the item.
+// Each payload is one refcounted heap block (src/net/payload.h), so the
+// response assembler can reference it zero-copy across a batched writev even
+// if a later request in the same batch evicts the item.
 //
 // Expiry follows memcached 1.6: exptime 0 never expires, negative is
 // immediately expired, values up to 30 days are relative seconds, larger
@@ -24,11 +24,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "src/cache/lru_cache.h"
+#include "src/net/payload.h"
 
 namespace spotcache::net {
 
@@ -40,7 +40,7 @@ inline constexpr int64_t kRelativeExpiryCutoff = 60 * 60 * 24 * 30;
 int64_t ResolveExptime(int64_t exptime, int64_t now);
 
 struct Item {
-  std::shared_ptr<const std::string> data;
+  PayloadRef data;
   uint32_t flags = 0;
   int64_t expires_at = 0;  // 0 = never, -1 = dead, else unix seconds
   int64_t stored_at = 0;   // for flush_all visibility

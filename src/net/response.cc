@@ -64,12 +64,9 @@ void ResponseAssembler::Appendf(const char* fmt, ...) {
   PushIov(dst, static_cast<size_t>(n), /*coalescable=*/true);
 }
 
-void ResponseAssembler::AppendPinned(std::string_view bytes,
-                                     std::shared_ptr<const std::string> pin) {
-  if (pin != nullptr) {
-    pins_.push_back(std::move(pin));
-  }
-  PushIov(bytes.data(), bytes.size(), /*coalescable=*/false);
+void ResponseAssembler::AppendPinned(PayloadRef payload) {
+  PushIov(payload->data(), payload->size(), /*coalescable=*/false);
+  pins_.push_back(std::move(payload));
   last_coalescable_ = false;
 }
 

@@ -3,7 +3,7 @@
 // A response is a sequence of iovecs: small generated fragments (VALUE
 // headers, status lines) are formatted into a block-arena scratch space with
 // stable addresses, while item payloads are referenced in place and pinned
-// (shared_ptr) so a batched writev stays valid even if a later request in
+// (a PayloadRef) so a batched writev stays valid even if a later request in
 // the batch evicts the item. Adjacent scratch fragments coalesce into one
 // iovec, so a typical "VALUE...\r\n<data>\r\nEND\r\n" reply is 3 vectors.
 //
@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/net/payload.h"
+
 namespace spotcache::net {
 
 class ResponseAssembler {
@@ -30,9 +32,9 @@ class ResponseAssembler {
   void Append(std::string_view bytes);
   /// printf into the scratch arena (single fragment; must fit one block).
   void Appendf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// References `bytes` in place, keeping `pin` alive until Clear().
-  void AppendPinned(std::string_view bytes,
-                    std::shared_ptr<const std::string> pin);
+  /// References the payload's bytes in place, keeping it alive until
+  /// Clear().
+  void AppendPinned(PayloadRef payload);
 
   const std::vector<iovec>& iovecs() const { return iov_; }
   size_t total_bytes() const { return total_; }
@@ -57,7 +59,7 @@ class ResponseAssembler {
   std::vector<iovec> iov_;
   bool last_coalescable_ = false;
   size_t total_ = 0;
-  std::vector<std::shared_ptr<const std::string>> pins_;
+  std::vector<PayloadRef> pins_;
 };
 
 }  // namespace spotcache::net

@@ -110,7 +110,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     }
     // Copy what the reply needs under the partition lock; the payload pin
     // keeps the bytes alive after the unlock, even if the item is evicted.
-    std::shared_ptr<const std::string> data;
+    PayloadRef data;
     uint32_t flags = 0;
     uint64_t cas = 0;
     {
@@ -122,7 +122,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
         cas = item->cas;
       }
     }
-    if (data == nullptr) {
+    if (!data) {
       get_misses_.Increment();
       if (obs_get_misses_ != nullptr) {
         obs_get_misses_->Increment();
@@ -136,17 +136,17 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     if (obs_get_hits_ != nullptr) {
       obs_get_hits_->Increment();
     }
-    result.value_bytes += static_cast<uint32_t>(data->size());
+    result.value_bytes += data->size();
     if (with_cas) {
-      out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
+      out->Appendf("VALUE %.*s %u %" PRIu32 " %" PRIu64 "\r\n",
                    static_cast<int>(key.size()), key.data(), flags,
                    data->size(), cas);
     } else {
-      out->Appendf("VALUE %.*s %u %zu\r\n", static_cast<int>(key.size()),
-                   key.data(), flags, data->size());
+      out->Appendf("VALUE %.*s %u %" PRIu32 "\r\n",
+                   static_cast<int>(key.size()), key.data(), flags,
+                   data->size());
     }
-    const std::string_view bytes = *data;
-    out->AppendPinned(bytes, std::move(data));
+    out->AppendPinned(std::move(data));
     out->Append("\r\n");
   }
   out->Append("END\r\n");

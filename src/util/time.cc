@@ -8,7 +8,9 @@ std::string ToString(Duration d) {
   char buf[64];
   const double s = d.seconds();
   if (s < 0) {
-    return "-" + ToString(Duration::Micros(-d.micros()));
+    std::string negated = "-";
+    negated += ToString(Duration::Micros(-d.micros()));
+    return negated;
   }
   if (s < 1.0) {
     std::snprintf(buf, sizeof(buf), "%.0fus", s * 1e6);

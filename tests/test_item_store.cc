@@ -7,8 +7,11 @@
 // exactly.
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,48 @@
 #include "src/net/protocol.h"
 #include "src/net/response.h"
 #include "src/net/server_core.h"
+
+// Global operator new/delete replaced with counting versions. They count
+// only on a thread with an AllocTally installed, so the rest of the binary
+// allocates as usual.
+namespace {
+struct AllocTally {
+  uint64_t news = 0;
+  uint64_t deletes = 0;
+};
+thread_local AllocTally* active_tally = nullptr;
+
+/// Installs `tally` on this thread for the scope's lifetime.
+class CountAllocations {
+ public:
+  explicit CountAllocations(AllocTally* tally) { active_tally = tally; }
+  ~CountAllocations() { active_tally = nullptr; }
+  CountAllocations(const CountAllocations&) = delete;
+  CountAllocations& operator=(const CountAllocations&) = delete;
+};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (active_tally != nullptr) {
+    ++active_tally->news;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept {
+  if (p != nullptr && active_tally != nullptr) {
+    ++active_tally->deletes;
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  if (p != nullptr && active_tally != nullptr) {
+    ++active_tally->deletes;
+  }
+  std::free(p);
+}
 
 namespace spotcache::net {
 namespace {
@@ -211,6 +256,45 @@ TEST(ItemStore, PinnedPayloadOutlivesEviction) {
 
   run("get k\r\n");
   EXPECT_EQ(out.Flatten(), "END\r\n");
+}
+
+// A stored value is one heap block: once the arena and index are sized,
+// overwriting an existing key allocates the new value once and frees the
+// old one once.
+TEST(ItemStore, StoredValueIsOneAllocation) {
+  constexpr int kKeys = 64;
+  constexpr int kRounds = 16;
+  ItemStore store(1 << 20);
+  const std::string value(100, 'v');
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    std::string key = "k";  // short enough to live inside std::string
+    key += std::to_string(i);
+    keys.push_back(std::move(key));
+  }
+  for (const std::string& key : keys) {  // warm-up: sizes arena and index
+    ASSERT_EQ(store.Set(key, 0, 0, value, kT0),
+              ItemStore::StoreResult::kStored);
+  }
+
+  AllocTally tally;
+  int stored = 0;
+  {
+    CountAllocations counting(&tally);
+    for (int r = 0; r < kRounds; ++r) {
+      for (const std::string& key : keys) {
+        stored += store.Set(key, 0, 0, value, kT0) ==
+                  ItemStore::StoreResult::kStored;
+      }
+    }
+  }
+
+  const uint64_t n = kKeys * kRounds;
+  EXPECT_EQ(stored, static_cast<int>(n));
+  EXPECT_EQ(store.item_count(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(store.evictions(), 0u);
+  EXPECT_EQ(tally.news, n);
+  EXPECT_EQ(tally.deletes, n);
 }
 
 }  // namespace

@@ -223,10 +223,12 @@ UpstreamPoolConfig FastPoolConfig() {
 
 size_t CountBreakerTransitions(const EventTracer& tracer,
                                std::string_view to_state) {
+  std::string quoted = "\"";
+  quoted += to_state;
+  quoted += '"';
   size_t n = 0;
   for (const TraceEvent& e : tracer.events()) {
-    if (e.type == "breaker_transition" &&
-        e.Field("to") == "\"" + std::string(to_state) + "\"") {
+    if (e.type == "breaker_transition" && e.Field("to") == quoted) {
       ++n;
     }
   }
