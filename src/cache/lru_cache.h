@@ -13,13 +13,21 @@
 // copy in the index, and every pointer chase but one — the same arena +
 // intrusive-list shape CacheLib and memcached's slab LRU use.
 //
+// A slot is the Entry (key object, value, byte count) plus the two links;
+// kSlotBytes is its size. The key object is whatever K is: a small key lives
+// in the slot itself, while the server's ItemStore uses a one-pointer handle
+// to a heap block that carries both the key and the value bytes, so its slot
+// holds no key bytes at all. Such a K is stored through PutOwned(), which
+// takes the caller's key object and, on overwrite, replaces the stored one.
+//
 // Behavior is bit-identical to the reference implementation: same hit / miss
 // / eviction sequences, same byte accounting, same MRU→LRU iteration order
-// (test_lru_equivalence drives both through ~1e5 randomized ops to prove it).
-// The overwrite path is the one deliberate improvement folded in: Put on an
-// existing key updates value/bytes in place and splices the slot to the front
-// instead of erase + re-insert (two hash walks and node churn in the
-// reference; the observable semantics are unchanged).
+// (test_lru_equivalence drives both through ~1e5 randomized ops to prove it,
+// through Put() and through PutOwned()). The overwrite path is the one
+// deliberate improvement folded in: Put on an existing key updates
+// value/bytes in place and splices the slot to the front instead of erase +
+// re-insert (two hash walks and node churn in the reference; the observable
+// semantics are unchanged).
 //
 // The eviction hook is a template parameter so simulation code that needs a
 // hook pays a direct (inlineable) call instead of a std::function dispatch.
@@ -28,10 +36,10 @@
 //
 // Transparent lookup: a Hash that names `is_transparent` lets every keyed
 // call take any type the hash accepts and K compares equal to — the
-// server's ItemStore looks std::string keys up by std::string_view, so a
+// server's ItemStore looks its block keys up by std::string_view, so a
 // lookup builds no key. Other hashes keep `const K&` semantics (the argument
-// converts to K at the call). Find() is the promoting lookup that hands back
-// the stored value in place; Get() is the copying wrapper over it.
+// converts to K at the call). FindEntry() is the promoting lookup that hands
+// back the stored entry in place, Find() its value, and Get() a copy of it.
 
 #pragma once
 
@@ -81,6 +89,9 @@ class LruCache {
   };
 
  public:
+  /// Arena bytes per entry: the Entry plus the two recency links.
+  static constexpr size_t kSlotBytes = sizeof(Slot);
+
   explicit LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
   /// Pre-sizes the arena and hash table for `expected_items` so a run over a
@@ -97,49 +108,30 @@ class LruCache {
   }
 
   /// Inserts or overwrites; evicts LRU entries until the item fits. Returns
-  /// false (and stores nothing) if `bytes` alone exceeds the capacity.
+  /// false (and stores nothing) if `bytes` alone exceeds the capacity. An
+  /// overwrite keeps the stored key object; an insert builds one from `key`.
   template <typename Q>
   bool Put(const Q& key, V value, size_t bytes) {
-    if (bytes > capacity_bytes_) {
-      return false;
-    }
     const LookupKey<Q>& k = key;
-    const uint32_t tag = TagOf(k);
-    if (!buckets_.empty()) {
-      const size_t b = FindBucket(k, tag);
-      if (buckets_[b].slot != kNil) {
-        // Overwrite in place: adjust byte accounting, splice to MRU, then
-        // evict as needed. Same victims as the reference's erase+reinsert —
-        // this entry is at the front, so it is never its own victim.
-        const uint32_t s = buckets_[b].slot;
-        Slot& slot = slots_[s];
-        bytes_used_ -= slot.entry.bytes;
-        slot.entry.value = std::move(value);
-        slot.entry.bytes = bytes;
-        MoveToFront(s);
-        bytes_used_ += bytes;
-        EvictUntilFits(0);
-        return true;
-      }
-    }
-    EvictUntilFits(bytes);
-    const uint32_t s = AllocSlot();
-    Slot& slot = slots_[s];
-    slot.entry.key = K(k);
-    slot.entry.value = std::move(value);
-    slot.entry.bytes = bytes;
-    LinkFront(s);
-    InsertIndex(s, tag);
-    bytes_used_ += bytes;
-    ++size_;
-    return true;
+    return Store</*kReplaceKey=*/false>(
+        k, [&k] { return K(k); }, std::move(value), bytes);
+  }
+
+  /// Put() for a key object the caller built: the cache takes `key` as is,
+  /// and an overwrite replaces the stored key object with it (the two are
+  /// equal keys, not the same object). For a K that owns memory beyond the
+  /// key, such as a block that also carries the value, this is how the old
+  /// object is released.
+  bool PutOwned(K key, V value, size_t bytes) {
+    return Store</*kReplaceKey=*/true>(
+        key, [&key] { return std::move(key); }, std::move(value), bytes);
   }
 
   /// Looks the key up and promotes it to most-recently-used, counting a hit
   /// or miss. The pointer is valid until the next mutating call (the arena
   /// may move on growth).
   template <typename Q>
-  V* Find(const Q& key) {
+  Entry* FindEntry(const Q& key) {
     const uint32_t s = FindSlot<LookupKey<Q>>(key);
     if (s == kNil) {
       ++misses_;
@@ -147,7 +139,14 @@ class LruCache {
     }
     ++hits_;
     MoveToFront(s);
-    return &slots_[s].entry.value;
+    return &slots_[s].entry;
+  }
+
+  /// FindEntry() narrowed to the value.
+  template <typename Q>
+  V* Find(const Q& key) {
+    Entry* entry = FindEntry(key);
+    return entry != nullptr ? &entry->value : nullptr;
   }
 
   /// Find() returning a copy of the value.
@@ -159,14 +158,19 @@ class LruCache {
 
   /// Lookup without promotion or stats; the pointer lives as Find()'s does.
   template <typename Q>
+  const Entry* PeekEntry(const Q& key) const {
+    const uint32_t s = FindSlot<LookupKey<Q>>(key);
+    return s == kNil ? nullptr : &slots_[s].entry;
+  }
+  template <typename Q>
   V* Peek(const Q& key) {
     const uint32_t s = FindSlot<LookupKey<Q>>(key);
     return s == kNil ? nullptr : &slots_[s].entry.value;
   }
   template <typename Q>
   const V* Peek(const Q& key) const {
-    const uint32_t s = FindSlot<LookupKey<Q>>(key);
-    return s == kNil ? nullptr : &slots_[s].entry.value;
+    const Entry* entry = PeekEntry(key);
+    return entry != nullptr ? &entry->value : nullptr;
   }
 
   template <typename Q>
@@ -238,6 +242,48 @@ class LruCache {
 
  private:
   static constexpr size_t kMinBuckets = 16;
+
+  /// The body of Put() and PutOwned(): `probe` finds the entry, `make_key`
+  /// yields the key object to store on insert (and, with kReplaceKey, on
+  /// overwrite). `make_key` runs at most once, after the last use of `probe`.
+  template <bool kReplaceKey, typename Q, typename MakeKey>
+  bool Store(const Q& probe, MakeKey&& make_key, V value, size_t bytes) {
+    if (bytes > capacity_bytes_) {
+      return false;
+    }
+    const uint32_t tag = TagOf(probe);
+    if (!buckets_.empty()) {
+      const size_t b = FindBucket(probe, tag);
+      if (buckets_[b].slot != kNil) {
+        // Overwrite in place: adjust byte accounting, splice to MRU, then
+        // evict as needed. Same victims as the reference's erase+reinsert —
+        // this entry is at the front, so it is never its own victim.
+        const uint32_t s = buckets_[b].slot;
+        Slot& slot = slots_[s];
+        bytes_used_ -= slot.entry.bytes;
+        if constexpr (kReplaceKey) {
+          slot.entry.key = make_key();
+        }
+        slot.entry.value = std::move(value);
+        slot.entry.bytes = bytes;
+        MoveToFront(s);
+        bytes_used_ += bytes;
+        EvictUntilFits(0);
+        return true;
+      }
+    }
+    EvictUntilFits(bytes);
+    const uint32_t s = AllocSlot();
+    Slot& slot = slots_[s];
+    slot.entry.key = make_key();
+    slot.entry.value = std::move(value);
+    slot.entry.bytes = bytes;
+    LinkFront(s);
+    InsertIndex(s, tag);
+    bytes_used_ += bytes;
+    ++size_;
+    return true;
+  }
 
   // ---- Intrusive recency list ------------------------------------------
 

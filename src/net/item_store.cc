@@ -1,5 +1,7 @@
 #include "src/net/item_store.h"
 
+#include <algorithm>
+
 namespace spotcache::net {
 
 namespace {
@@ -9,6 +11,21 @@ namespace {
 /// byte capacity holds; changing it changes which items get evicted.
 size_t CostOf(std::string_view key, size_t data_size) {
   return key.size() + data_size + 64;
+}
+
+/// Narrows unix seconds into a StoreTime, saturating at both ends.
+StoreTime Narrow(int64_t t) {
+  return t <= 0 ? 0
+         : t >= int64_t{UINT32_MAX} ? UINT32_MAX
+                                    : static_cast<StoreTime>(t);
+}
+
+/// The slot deadline for a wire exptime: 0 stays "never"; any deadline at or
+/// before unix second 1, "already expired" included, becomes 1, which every
+/// positive clock has passed.
+StoreTime DeadlineOf(int64_t exptime, int64_t now) {
+  const int64_t at = ResolveExptime(exptime, now);
+  return at == 0 ? 0 : std::max<StoreTime>(Narrow(at), 1);
 }
 
 }  // namespace
@@ -27,89 +44,101 @@ ItemStore::ItemStore(size_t capacity_bytes) : lru_(capacity_bytes) {
   lru_.SetEvictionHook(VictimCounter{this});
 }
 
-bool ItemStore::IsLive(const Item& item, int64_t now) const {
-  if (item.expires_at < 0) {
+bool ItemStore::IsLive(const ItemMeta& meta, int64_t now) const {
+  if (meta.expires_at != 0 && meta.expires_at <= now) {
     return false;
   }
-  if (item.expires_at > 0 && item.expires_at <= now) {
-    return false;
-  }
-  if (flush_at_ >= 0 && now >= flush_at_ && item.stored_at < flush_at_) {
+  if (flush_at_ >= 0 && now >= flush_at_ && meta.stored_at < flush_at_) {
     return false;
   }
   return true;
 }
 
-ItemStore::StoreResult ItemStore::Upsert(std::string_view key, uint32_t flags,
-                                         int64_t exptime, std::string_view data,
-                                         int64_t now) {
-  const size_t cost = CostOf(key, data.size());
+ItemStore::StoreResult ItemStore::Set(PayloadRef& block, uint32_t flags,
+                                      int64_t exptime, int64_t now) {
+  const size_t cost = CostOf(block->key(), block->size());
   // Refused before drawing a cas, so a refused set leaves the numbering of
   // every later set unchanged.
   if (cost > lru_.capacity_bytes()) {
     return StoreResult::kNotStored;
   }
   evict_now_ = now;
-  lru_.Put(key,
-           Item{Payload::Make(data), flags, ResolveExptime(exptime, now), now,
-                NextCas()},
-           cost);
+  lru_.PutOwned(ItemKey{std::move(block)},
+                ItemMeta{NextCas(), flags, DeadlineOf(exptime, now),
+                         Narrow(now)},
+                cost);
   return StoreResult::kStored;
+}
+
+ItemStore::StoreResult ItemStore::Add(PayloadRef& block, uint32_t flags,
+                                      int64_t exptime, int64_t now) {
+  const ItemMeta* meta = lru_.Peek(block->key());
+  if (meta != nullptr && IsLive(*meta, now)) {
+    return StoreResult::kNotStored;
+  }
+  return Set(block, flags, exptime, now);
+}
+
+ItemStore::StoreResult ItemStore::Replace(PayloadRef& block, uint32_t flags,
+                                          int64_t exptime, int64_t now) {
+  const ItemMeta* meta = lru_.Peek(block->key());
+  if (meta == nullptr || !IsLive(*meta, now)) {
+    return StoreResult::kNotStored;
+  }
+  return Set(block, flags, exptime, now);
 }
 
 ItemStore::StoreResult ItemStore::Set(std::string_view key, uint32_t flags,
                                       int64_t exptime, std::string_view data,
                                       int64_t now) {
-  return Upsert(key, flags, exptime, data, now);
+  PayloadRef block = Payload::Make(key, data);
+  return Set(block, flags, exptime, now);
 }
 
 ItemStore::StoreResult ItemStore::Add(std::string_view key, uint32_t flags,
                                       int64_t exptime, std::string_view data,
                                       int64_t now) {
-  const Item* item = lru_.Peek(key);
-  if (item != nullptr && IsLive(*item, now)) {
-    return StoreResult::kNotStored;
-  }
-  return Upsert(key, flags, exptime, data, now);
+  PayloadRef block = Payload::Make(key, data);
+  return Add(block, flags, exptime, now);
 }
 
 ItemStore::StoreResult ItemStore::Replace(std::string_view key, uint32_t flags,
                                           int64_t exptime,
                                           std::string_view data, int64_t now) {
-  const Item* item = lru_.Peek(key);
-  if (item == nullptr || !IsLive(*item, now)) {
-    return StoreResult::kNotStored;
-  }
-  return Upsert(key, flags, exptime, data, now);
+  PayloadRef block = Payload::Make(key, data);
+  return Replace(block, flags, exptime, now);
 }
 
-const Item* ItemStore::Get(std::string_view key, int64_t now) {
-  const Item* item = lru_.Find(key);
-  if (item != nullptr && !IsLive(*item, now)) {
+Item ItemStore::Get(std::string_view key, int64_t now) {
+  const auto* entry = lru_.FindEntry(key);
+  if (entry == nullptr) {
+    return Item();
+  }
+  if (!IsLive(entry->value, now)) {
     ++expired_reaped_;
     lru_.Erase(key);
-    return nullptr;
+    return Item();
   }
-  return item;
+  return Item(&entry->key.block, &entry->value);
 }
 
 bool ItemStore::Delete(std::string_view key, int64_t now) {
-  const Item* item = lru_.Peek(key);
-  if (item == nullptr) {
+  const ItemMeta* meta = lru_.Peek(key);
+  if (meta == nullptr) {
     return false;
   }
-  const bool live = IsLive(*item, now);
+  const bool live = IsLive(*meta, now);
   lru_.Erase(key);
   return live;
 }
 
 bool ItemStore::Touch(std::string_view key, int64_t exptime, int64_t now) {
   // Moves the deadline only; the item keeps its LRU position.
-  Item* item = lru_.Peek(key);
-  if (item == nullptr || !IsLive(*item, now)) {
+  ItemMeta* meta = lru_.Peek(key);
+  if (meta == nullptr || !IsLive(*meta, now)) {
     return false;
   }
-  item->expires_at = ResolveExptime(exptime, now);
+  meta->expires_at = DeadlineOf(exptime, now);
   return true;
 }
 

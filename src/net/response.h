@@ -32,8 +32,8 @@ class ResponseAssembler {
   void Append(std::string_view bytes);
   /// printf into the scratch arena (single fragment; must fit one block).
   void Appendf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// References the payload's bytes in place, keeping it alive until
-  /// Clear().
+  /// References the block's value bytes (data()/size()) in place, keeping
+  /// the block alive until Clear().
   void AppendPinned(PayloadRef payload);
 
   const std::vector<iovec>& iovecs() const { return iov_; }

@@ -116,10 +116,10 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     {
       StorePartition& part = store_->of(key);
       std::lock_guard<std::mutex> lock(part.mu);
-      if (const Item* item = part.store.Get(key, now); item != nullptr) {
-        data = item->data;
-        flags = item->flags;
-        cas = item->cas;
+      if (const Item item = part.store.Get(key, now)) {
+        data = item.block();
+        flags = item.flags();
+        cas = item.cas();
       }
     }
     if (!data) {
@@ -161,20 +161,23 @@ ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
     obs_sets_->Increment();
   }
   const std::string_view key = req.keys[0];
+  // The block is built before the lock, which then covers only the index
+  // update and the cas draw. A refused block is freed at the end of this
+  // function, after the unlock.
+  PayloadRef block = Payload::Make(key, req.data);
   ItemStore::StoreResult result = ItemStore::StoreResult::kNotStored;
   {
     StorePartition& part = store_->of(key);
     std::lock_guard<std::mutex> lock(part.mu);
     switch (req.verb) {
       case Verb::kSet:
-        result = part.store.Set(key, req.flags, req.exptime, req.data, now);
+        result = part.store.Set(block, req.flags, req.exptime, now);
         break;
       case Verb::kAdd:
-        result = part.store.Add(key, req.flags, req.exptime, req.data, now);
+        result = part.store.Add(block, req.flags, req.exptime, now);
         break;
       case Verb::kReplace:
-        result =
-            part.store.Replace(key, req.flags, req.exptime, req.data, now);
+        result = part.store.Replace(block, req.flags, req.exptime, now);
         break;
       default:
         break;

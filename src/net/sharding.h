@@ -9,8 +9,8 @@
 //
 // Each partition is an ItemStore with its own mutex. Any reactor serves any
 // key inline: it locks the key's partition, makes the store call, copies out
-// what the reply needs (an Item* is only valid under the lock; a reference
-// to its payload outlives it) and unlocks. A caller holds at most one
+// what the reply needs (the Item a lookup returns is only valid under the
+// lock; a reference to its block outlives it) and unlocks. A caller holds at most one
 // partition lock at a time and takes no other lock under it, so there is no
 // lock order to get wrong. Whole-store sweeps (`stats`, `flush_all`) visit
 // the partitions one at a time.

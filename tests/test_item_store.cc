@@ -154,18 +154,18 @@ StreamTotals RunSeededStream(uint64_t seed, size_t ops) {
       result =
           static_cast<uint64_t>(store.Replace(key, flags, exptime, data, now));
     } else if (op < 880) {
-      const Item* item = store.Get(key, now);
-      if (item != nullptr) {
+      const Item item = store.Get(key, now);
+      if (item) {
         ++totals.hits;
-        d.Fold(item->cas);
-        d.Fold(item->flags);
-        d.Fold(static_cast<uint64_t>(item->expires_at));
-        d.Fold(item->data->size());
-        d.Fold(item->data->empty()
+        d.Fold(item.cas());
+        d.Fold(item.flags());
+        d.Fold(static_cast<uint64_t>(item.expires_at()));
+        d.Fold(item.block()->size());
+        d.Fold(item.block()->empty()
                    ? 0x100
-                   : static_cast<unsigned char>(item->data->front()));
+                   : static_cast<unsigned char>(item.block()->front()));
       }
-      result = item != nullptr ? 1 : 0;
+      result = item ? 1 : 0;
     } else if (op < 930) {
       result = store.Delete(key, now) ? 1 : 0;
     } else if (op < 999) {
@@ -219,10 +219,10 @@ TEST(ItemStore, VictimsSplitIntoEvictionsAndExpiredReaped) {
   EXPECT_EQ(store.expired_reaped(), 1u);
   EXPECT_EQ(store.item_count(), 2u);
   EXPECT_EQ(store.bytes_used(), 2u * 165);
-  EXPECT_EQ(store.Get("a", kT0 + 10), nullptr);
-  EXPECT_EQ(store.Get("b", kT0 + 10), nullptr);
-  EXPECT_NE(store.Get("c", kT0 + 10), nullptr);
-  EXPECT_NE(store.Get("d", kT0 + 10), nullptr);
+  EXPECT_FALSE(store.Get("a", kT0 + 10));
+  EXPECT_FALSE(store.Get("b", kT0 + 10));
+  EXPECT_TRUE(store.Get("c", kT0 + 10));
+  EXPECT_TRUE(store.Get("d", kT0 + 10));
 }
 
 // A get's payload is referenced in place by the reply; a later request in
@@ -295,6 +295,59 @@ TEST(ItemStore, StoredValueIsOneAllocation) {
   EXPECT_EQ(store.evictions(), 0u);
   EXPECT_EQ(tally.news, n);
   EXPECT_EQ(tally.deletes, n);
+}
+
+// The key lives in the value's block, not in a string of its own: once the
+// arena and index are sized, inserting a new key too long for a string's
+// inline buffer allocates once, for the block.
+TEST(ItemStore, NewLongKeyIsOneAllocation) {
+  constexpr int kKeys = 1024;
+  constexpr size_t kKeyBytes = 40;
+  ItemStore store(1 << 24);
+  const std::string value(100, 'v');
+  const auto long_key = [](const char* prefix, int i) {
+    std::string key = prefix;
+    key += std::to_string(i);
+    key.resize(kKeyBytes, '.');
+    return key;
+  };
+  std::vector<std::string> warm;
+  std::vector<std::string> fresh;
+  for (int i = 0; i < kKeys; ++i) {
+    warm.push_back(long_key("warm:", i));
+    fresh.push_back(long_key("fresh:", i));
+  }
+  // Warm-up: as many items as the counted inserts, then deleted, so the
+  // arena's free list and the index already hold room for them.
+  for (const std::string& key : warm) {
+    ASSERT_EQ(store.Set(key, 0, 0, value, kT0),
+              ItemStore::StoreResult::kStored);
+  }
+  for (const std::string& key : warm) {
+    ASSERT_TRUE(store.Delete(key, kT0));
+  }
+
+  AllocTally tally;
+  int stored = 0;
+  {
+    CountAllocations counting(&tally);
+    for (const std::string& key : fresh) {
+      stored += store.Set(key, 0, 0, value, kT0) ==
+                ItemStore::StoreResult::kStored;
+    }
+  }
+
+  EXPECT_EQ(stored, kKeys);
+  EXPECT_EQ(store.item_count(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(tally.news, static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(tally.deletes, 0u);
+  for (const std::string& key : fresh) {
+    const Item item = store.Get(key, kT0);
+    ASSERT_TRUE(item) << key;
+    EXPECT_EQ(item.block()->key(), key);
+    EXPECT_EQ(std::string_view(item.block()->data(), item.block()->size()),
+              value);
+  }
 }
 
 }  // namespace

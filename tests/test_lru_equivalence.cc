@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +29,46 @@ struct Evicted {
   bool operator==(const Evicted&) const = default;
 };
 
+// A key object for the owned-key path (PutOwned): equal to another, and
+// hashed, by `id` alone, so `generation` shows which object the cache kept.
+struct OwnedKey {
+  uint64_t id = 0;
+  uint64_t generation = 0;
+  bool operator==(const OwnedKey& other) const { return id == other.id; }
+  bool operator==(uint64_t other) const { return id == other; }
+};
+
+struct OwnedKeyHash {
+  using is_transparent = void;
+  size_t operator()(uint64_t id) const { return std::hash<uint64_t>{}(id); }
+  size_t operator()(const OwnedKey& key) const { return (*this)(key.id); }
+};
+
+uint64_t IdOf(uint64_t key) { return key; }
+uint64_t IdOf(const OwnedKey& key) { return key.id; }
+
+// Puts through PutOwned when the cache's key is an OwnedKey, checking that
+// both an insert and an overwrite leave the new key object in the slot;
+// through Put otherwise.
+template <typename FlatCache, typename Value>
+bool FlatPut(FlatCache& flat, uint64_t key, Value value, size_t bytes,
+             uint64_t generation) {
+  if constexpr (std::is_same_v<decltype(FlatCache::Entry::key), OwnedKey>) {
+    const bool stored =
+        flat.PutOwned(OwnedKey{key, generation}, std::move(value), bytes);
+    if (stored) {
+      const auto* entry = flat.PeekEntry(key);
+      EXPECT_NE(entry, nullptr);
+      if (entry != nullptr) {
+        EXPECT_EQ(entry->key.generation, generation);
+      }
+    }
+    return stored;
+  } else {
+    return flat.Put(key, std::move(value), bytes);
+  }
+}
+
 template <typename RefCache, typename FlatCache>
 void DriveEquivalence(RefCache& ref, FlatCache& flat, uint64_t seed,
                       size_t ops, uint64_t key_space,
@@ -40,7 +82,7 @@ void DriveEquivalence(RefCache& ref, FlatCache& flat, uint64_t seed,
     if (roll < 0.45) {
       const size_t bytes = 1 + rng.NextBelow(4096);
       const bool a = ref.Put(key, static_cast<uint32_t>(key), bytes);
-      const bool b = flat.Put(key, static_cast<uint32_t>(key), bytes);
+      const bool b = FlatPut(flat, key, static_cast<uint32_t>(key), bytes, i);
       ASSERT_EQ(a, b);
     } else if (roll < 0.80) {
       const auto a = ref.Get(key);
@@ -78,7 +120,8 @@ void DriveEquivalence(RefCache& ref, FlatCache& flat, uint64_t seed,
   // Final structural check: identical MRU-to-LRU order.
   std::vector<uint64_t> ref_order, flat_order;
   ref.ForEachMruToLru([&](const auto& e) { ref_order.push_back(e.key); });
-  flat.ForEachMruToLru([&](const auto& e) { flat_order.push_back(e.key); });
+  flat.ForEachMruToLru(
+      [&](const auto& e) { flat_order.push_back(IdOf(e.key)); });
   ASSERT_EQ(ref_order, flat_order);
 }
 
@@ -103,7 +146,7 @@ struct RecordingHook {
   std::vector<Evicted>* out;
   template <typename Entry>
   void operator()(const Entry& e) const {
-    out->push_back({e.key, e.bytes});
+    out->push_back({IdOf(e.key), e.bytes});
   }
 };
 
@@ -118,6 +161,40 @@ TEST(LruEquivalence, TemplatedHookMatchesReference) {
   DriveEquivalence(ref, flat, /*seed=*/0xfeed, kOps, /*key_space=*/400,
                    &ref_evicted, &flat_evicted);
   EXPECT_GT(ref_evicted.size(), 500u);
+}
+
+// The owned-key path (PutOwned, as ItemStore uses it): the same hits,
+// misses and victims as the reference, with each put's key object kept.
+TEST(LruEquivalence, OwnedKeyPutMatchesReference) {
+  constexpr size_t kOps = 100'000;
+  ReferenceLruCache<uint64_t, V> ref(256 * 1024);
+  LruCache<OwnedKey, V, OwnedKeyHash, RecordingHook> flat(256 * 1024);
+  std::vector<Evicted> ref_evicted, flat_evicted;
+  ref.SetEvictionCallback(
+      [&](const auto& e) { ref_evicted.push_back({e.key, e.bytes}); });
+  flat.SetEvictionHook(RecordingHook{&flat_evicted});
+  DriveEquivalence(ref, flat, /*seed=*/0x0b1c, kOps, /*key_space=*/700,
+                   &ref_evicted, &flat_evicted);
+  EXPECT_GT(ref_evicted.size(), 1000u) << "workload never evicted; weak test";
+}
+
+TEST(LruEquivalence, OwnedKeyOverwriteShrinkAndGrowKeepsAccounting) {
+  ReferenceLruCache<uint64_t, V> ref(10'000);
+  LruCache<OwnedKey, V, OwnedKeyHash, RecordingHook> flat(10'000);
+  std::vector<Evicted> ref_evicted, flat_evicted;
+  ref.SetEvictionCallback(
+      [&](const auto& e) { ref_evicted.push_back({e.key, e.bytes}); });
+  flat.SetEvictionHook(RecordingHook{&flat_evicted});
+  Rng rng(0x0eed);
+  for (size_t i = 0; i < 20'000; ++i) {
+    const uint64_t key = rng.NextBelow(12);
+    const size_t bytes = 500 + rng.NextBelow(5000);  // often near capacity
+    ASSERT_EQ(ref.Put(key, static_cast<V>(i), bytes),
+              FlatPut(flat, key, static_cast<V>(i), bytes, i));
+    ASSERT_EQ(ref.bytes_used(), flat.bytes_used());
+    ASSERT_EQ(ref.evictions(), flat.evictions());
+  }
+  EXPECT_EQ(ref_evicted, flat_evicted);
 }
 
 TEST(LruEquivalence, TinyCapacityEdgeCases) {
