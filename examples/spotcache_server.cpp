@@ -20,9 +20,9 @@
 //   --port=N           listen port (0 picks an ephemeral port, printed)
 //   --host=H           bind address
 //   --capacity-mb=N    item-store LRU capacity (total; split across shards)
-//   --threads=N        reactor shards (default 1 = the classic
-//                      single-threaded server, byte-identical wire behavior;
-//                      N > 1 shards the key space across N epoll loops)
+//   --threads=N        reactor shards (default 1: one epoll loop on the
+//                      main thread; N > 1 serves from N epoll loops over N
+//                      lock-striped store partitions)
 //   --pin              pin shard i to cpu (i % cores)
 //   --force-dispatch   use the accept-and-handoff fallback instead of
 //                      SO_REUSEPORT (testing / kernels without REUSEPORT)
@@ -59,7 +59,6 @@
 #include <string>
 
 #include "src/core/system.h"
-#include "src/net/server.h"
 #include "src/net/sharded_server.h"
 #include "src/obs/exporters.h"
 #include "src/obs/obs.h"
@@ -74,24 +73,17 @@ constexpr int kExitRunFailure = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitBindFailure = 3;
 
-net::NetServer* g_server = nullptr;
-net::ShardedServer* g_sharded = nullptr;
+net::ShardedServer* g_server = nullptr;
 
 void HandleSignal(int /*sig*/) {
   if (g_server != nullptr) {
-    g_server->Stop();  // eventfd write: async-signal-safe
-  }
-  if (g_sharded != nullptr) {
-    g_sharded->Stop();
+    g_server->Stop();  // eventfd writes: async-signal-safe
   }
 }
 
 void HandleDumpSignal(int /*sig*/) {
   if (g_server != nullptr) {
-    g_server->RequestTelemetryDump();  // atomic flag + eventfd write
-  }
-  if (g_sharded != nullptr) {
-    g_sharded->RequestTelemetryDump();
+    g_server->RequestTelemetryDump();  // atomic flags + eventfd writes
   }
 }
 
@@ -229,91 +221,12 @@ int main(int argc, char** argv) {
                         /*observed_working_set_gb=*/10.0);
   }
 
-  if (threads > 1) {
-    // Multi-core serving: N reactor shards behind one port. The flags and
-    // readiness lines are identical to the single-threaded server; only the
-    // execution engine changes.
-    net::ShardedServerConfig scfg;
-    scfg.base = config;
-    scfg.threads = threads;
-    scfg.pin_threads = pin_threads;
-    scfg.force_dispatch = force_dispatch;
-    net::ShardedServer server(scfg, system.get(), &obs);
-    if (!server.Start()) {
-      std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
-                   config.bind_host.c_str(), config.port);
-      return kExitBindFailure;
-    }
-    g_sharded = &server;
-    WritePidFile(pidfile_path);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    std::signal(SIGUSR1, HandleDumpSignal);
-    std::signal(SIGHUP, HandleDumpSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::printf("listening %u\n", server.port());
-    if (config.metrics_port >= 0) {
-      std::printf("metrics listening %u\n", server.metrics_port());
-    }
-    std::printf(
-        "spotcache_server listening on %s:%u (capacity %zu MB, %u shards "
-        "via %s%s%s)\n",
-        config.bind_host.c_str(), server.port(),
-        config.core.capacity_bytes / (1024 * 1024), server.shard_count(),
-        server.using_reuseport() ? "SO_REUSEPORT" : "dispatch",
-        use_system ? ", system" : "", use_resilience ? "+resilience" : "");
-    std::fflush(stdout);
-
-    const bool ok = server.Run();
-    g_sharded = nullptr;
-
-    if (!trace_path.empty()) {
-      // Conn/request events land in the per-shard tracers (each ring is
-      // private to its reactor thread); the system tracer holds only
-      // control-plane events. Concatenate them all into one JSONL stream.
-      std::string trace = ToJsonl(obs.tracer);
-      for (uint32_t i = 0; i < server.shard_count(); ++i) {
-        trace += ToJsonl(server.shard_obs(i).tracer);
-      }
-      if (WriteStringToFile(trace_path, trace)) {
-        std::printf("trace written to %s\n", trace_path.c_str());
-      }
-    }
-    if (!metrics_path.empty() &&
-        WriteStringToFile(metrics_path, server.hub().RenderPrometheus())) {
-      std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
-    }
-    if (!config.span_dump_path.empty()) {
-      std::string spans;
-      size_t span_count = 0;
-      for (uint32_t i = 0; i < server.shard_count(); ++i) {
-        if (RequestTelemetry* t = server.shard(i).telemetry()) {
-          spans += t->RenderFlightRecorderJsonl();
-          span_count += t->ring_size();
-        }
-      }
-      if (WriteStringToFile(config.span_dump_path, spans)) {
-        std::printf("flight recorder (%zu spans) written to %s\n", span_count,
-                    config.span_dump_path.c_str());
-      }
-    }
-
-    const net::CoreSnapshot total = server.TotalSnapshot();
-    std::printf(
-        "served: %llu gets (%llu hits, %llu misses), %llu sets, "
-        "%llu sheds, %llu protocol errors\n",
-        static_cast<unsigned long long>(total.cmd_get),
-        static_cast<unsigned long long>(total.get_hits),
-        static_cast<unsigned long long>(total.get_misses),
-        static_cast<unsigned long long>(total.cmd_set),
-        static_cast<unsigned long long>(total.sheds),
-        static_cast<unsigned long long>(total.protocol_errors));
-    RemovePidFile(pidfile_path);
-    return ok ? 0 : kExitRunFailure;
-  }
-
-  net::NetServer server(config, system.get(), &obs);
+  net::ShardedServerConfig scfg;
+  scfg.base = config;
+  scfg.threads = threads;
+  scfg.pin_threads = pin_threads;
+  scfg.force_dispatch = force_dispatch;
+  net::ShardedServer server(scfg, system.get(), &obs);
   if (!server.Start()) {
     std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
                  config.bind_host.c_str(), config.port);
@@ -336,42 +249,63 @@ int main(int argc, char** argv) {
   if (config.metrics_port >= 0) {
     std::printf("metrics listening %u\n", server.metrics_port());
   }
-  std::printf("spotcache_server listening on %s:%u (capacity %zu MB%s%s)\n",
+  std::printf("spotcache_server listening on %s:%u (capacity %zu MB",
               config.bind_host.c_str(), server.port(),
-              config.core.capacity_bytes / (1024 * 1024),
-              use_system ? ", system" : "",
+              config.core.capacity_bytes / (1024 * 1024));
+  if (server.shard_count() > 1) {
+    std::printf(", %u shards via %s", server.shard_count(),
+                server.using_reuseport() ? "SO_REUSEPORT" : "dispatch");
+  }
+  std::printf("%s%s)\n", use_system ? ", system" : "",
               use_resilience ? "+resilience" : "");
   std::fflush(stdout);
 
   const bool ok = server.Run();
   g_server = nullptr;
 
-  if (!trace_path.empty() &&
-      WriteStringToFile(trace_path, ToJsonl(obs.tracer))) {
-    std::printf("trace written to %s\n", trace_path.c_str());
+  if (!trace_path.empty()) {
+    // Conn/request events land in the per-shard tracers (each ring is
+    // private to its reactor thread); the system tracer holds the
+    // control-plane events, and is the only tracer when one shard serves.
+    std::string trace = ToJsonl(obs.tracer);
+    for (uint32_t i = 0; i < server.shard_count(); ++i) {
+      if (&server.shard_obs(i) != &obs) {
+        trace += ToJsonl(server.shard_obs(i).tracer);
+      }
+    }
+    if (WriteStringToFile(trace_path, trace)) {
+      std::printf("trace written to %s\n", trace_path.c_str());
+    }
   }
   if (!metrics_path.empty() &&
-      WriteStringToFile(metrics_path, ToPrometheusText(obs.registry))) {
+      WriteStringToFile(metrics_path, server.RenderMetrics())) {
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
   }
-  if (!config.span_dump_path.empty() && server.telemetry() != nullptr &&
-      WriteStringToFile(config.span_dump_path,
-                        server.telemetry()->RenderFlightRecorderJsonl())) {
-    std::printf("flight recorder (%zu spans) written to %s\n",
-                server.telemetry()->ring_size(),
-                config.span_dump_path.c_str());
+  if (!config.span_dump_path.empty()) {
+    std::string spans;
+    size_t span_count = 0;
+    for (uint32_t i = 0; i < server.shard_count(); ++i) {
+      if (RequestTelemetry* t = server.shard(i).telemetry()) {
+        spans += t->RenderFlightRecorderJsonl();
+        span_count += t->ring_size();
+      }
+    }
+    if (WriteStringToFile(config.span_dump_path, spans)) {
+      std::printf("flight recorder (%zu spans) written to %s\n", span_count,
+                  config.span_dump_path.c_str());
+    }
   }
 
-  const net::ServerCore& core = server.core();
+  const net::CoreSnapshot total = server.TotalSnapshot();
   std::printf(
       "served: %llu gets (%llu hits, %llu misses), %llu sets, "
       "%llu sheds, %llu protocol errors\n",
-      static_cast<unsigned long long>(core.cmd_get()),
-      static_cast<unsigned long long>(core.get_hits()),
-      static_cast<unsigned long long>(core.get_misses()),
-      static_cast<unsigned long long>(core.cmd_set()),
-      static_cast<unsigned long long>(core.sheds()),
-      static_cast<unsigned long long>(core.protocol_errors()));
+      static_cast<unsigned long long>(total.cmd_get),
+      static_cast<unsigned long long>(total.get_hits),
+      static_cast<unsigned long long>(total.get_misses),
+      static_cast<unsigned long long>(total.cmd_set),
+      static_cast<unsigned long long>(total.sheds),
+      static_cast<unsigned long long>(total.protocol_errors));
   RemovePidFile(pidfile_path);
   return ok ? 0 : kExitRunFailure;
 }

@@ -17,6 +17,7 @@
 #include <climits>
 #include <ctime>
 #include <fstream>
+#include <thread>
 
 #include "src/obs/exporters.h"
 #include "src/util/logging.h"
@@ -195,23 +196,28 @@ bool NetServer::Run() {
     telemetry_->SetOrigin(t0_us_);
   }
   const bool instrument = loop_iterations_ != nullptr;
-  // A hub-attached shard wakes periodically to epoch-publish its registry;
-  // the plain server keeps the pure block-forever wait.
-  const int wait_ms = hub_ != nullptr ? 50 : -1;
   bool ok = true;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
+  // Released only while the loop waits: see LockWork().
+  std::unique_lock<std::mutex> work(work_mu_);
   while (!stop_requested_.load(std::memory_order_relaxed)) {
-    int timeout_ms = wait_ms;
+    int timeout_ms = -1;
     if (!completed_.empty()) {
       // Replies answered outside the flush pass (a reload re-routing legs)
       // must not wait for the next event.
       timeout_ms = 0;
     } else if (!loop_clients_.empty()) {
-      timeout_ms = WaitTimeoutMs(wait_ms);
+      timeout_ms = WaitTimeoutMs();
     }
     const int64_t t_wait0 = instrument ? RequestTelemetry::NowMicros() : 0;
+    work.unlock();
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    // A busy loop would otherwise retake the mutex before a waiter wakes.
+    while (work_waiters_.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+    work.lock();
     const int64_t t_work0 = instrument ? RequestTelemetry::NowMicros() : 0;
     if (n < 0) {
       if (errno == EINTR) {
@@ -287,7 +293,6 @@ bool NetServer::Run() {
       }
     }
     MaybeDumpTelemetry();
-    MaybeFlushHub(/*force=*/false);
     if (instrument) {
       const int64_t t_end = RequestTelemetry::NowMicros();
       loop_wait_hist_->Record(static_cast<double>(t_work0 - t_wait0) * 1e-6);
@@ -303,7 +308,6 @@ bool NetServer::Run() {
     }
   }
   CloseHandedOff();
-  MaybeFlushHub(/*force=*/true);
   return ok;
 }
 
@@ -334,21 +338,21 @@ void NetServer::SetHandler(RequestHandler* handler) {
   handler_->AttachLoop(this);
 }
 
-int NetServer::WaitTimeoutMs(int idle_ms) const {
+int NetServer::WaitTimeoutMs() const {
   int64_t deadline = LoopClient::kNoDeadline;
   for (const LoopClient* client : loop_clients_) {
     deadline = std::min(deadline, client->NextDeadlineUs());
   }
   if (deadline == LoopClient::kNoDeadline) {
-    return idle_ms;
+    return -1;
   }
   const int64_t left_us = deadline - RequestTelemetry::NowMicros();
   if (left_us <= 0) {
     return 0;
   }
   // Round up: waking a hair early would only spin through one more wait.
-  const int64_t ms = std::min<int64_t>((left_us + 999) / 1000, INT_MAX);
-  return idle_ms >= 0 && idle_ms < ms ? idle_ms : static_cast<int>(ms);
+  return static_cast<int>(
+      std::min<int64_t>((left_us + 999) / 1000, INT_MAX));
 }
 
 void NetServer::AddClient(LoopClient* client) {
@@ -434,14 +438,16 @@ void NetServer::MaybeDumpTelemetry() {
 }
 
 void NetServer::DumpTelemetry(const char* reason) {
-  // Shards append to one shared span file; the dump mutex keeps each dump's
-  // JSONL lines contiguous.
-  std::unique_lock<std::mutex> dump_lock;
-  if (dump_mu_ != nullptr) {
-    dump_lock = std::unique_lock<std::mutex>(*dump_mu_);
-  }
   size_t spans = 0;
   if (telemetry_ != nullptr && !config_.span_dump_path.empty()) {
+    // Shards append to one shared span file; the dump mutex keeps each
+    // dump's JSONL lines contiguous. The metrics render below runs outside
+    // it: it may wait for a peer's work mutex, and that peer may be waiting
+    // here.
+    std::unique_lock<std::mutex> dump_lock;
+    if (dump_mu_ != nullptr) {
+      dump_lock = std::unique_lock<std::mutex>(*dump_mu_);
+    }
     spans = telemetry_->ring_size();
     std::ofstream out(config_.span_dump_path, std::ios::app);
     if (out) {
@@ -451,14 +457,8 @@ void NetServer::DumpTelemetry(const char* reason) {
                            << config_.span_dump_path;
     }
   }
-  if (!config_.metrics_dump_path.empty()) {
-    if (hub_ != nullptr) {
-      MaybeFlushHub(/*force=*/true);
-      WriteStringToFile(config_.metrics_dump_path, hub_->RenderPrometheus());
-    } else if (obs_ != nullptr) {
-      WriteStringToFile(config_.metrics_dump_path,
-                        ToPrometheusText(obs_->registry));
-    }
+  if (!config_.metrics_dump_path.empty() && obs_ != nullptr) {
+    WriteStringToFile(config_.metrics_dump_path, RenderMetrics());
   }
   SPOTCACHE_LOG(kInfo) << "telemetry dump (" << reason << "): " << spans
                        << " spans";
@@ -577,24 +577,21 @@ void NetServer::ConfigureShard(const ShardContext& ctx) {
   core_.ConfigureShard(ctx);
 }
 
-void NetServer::MaybeFlushHub(bool force) {
-  if (hub_ == nullptr || obs_ == nullptr) {
-    return;
+void NetServer::LockWork() {
+  work_waiters_.fetch_add(1, std::memory_order_acq_rel);
+  work_mu_.lock();
+}
+
+void NetServer::UnlockWork() {
+  work_mu_.unlock();
+  work_waiters_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+std::string NetServer::RenderMetrics() const {
+  if (render_metrics_) {
+    return render_metrics_();
   }
-  const int64_t now = LoopMicros();
-  if (!force && now - last_hub_flush_us_ < 100'000) {
-    return;
-  }
-  last_hub_flush_us_ = now;
-  hub_->Publish(hub_slot_, obs_->registry);
-  // Shard 0 also owns publishing the shared control-plane registry
-  // (resilience counters live there) into the hub's dedicated last slot.
-  if (shard_ctx_.self == 0 && shard_ctx_.system_obs != nullptr &&
-      shard_ctx_.system_mu != nullptr &&
-      hub_->slots() > shard_ctx_.count) {
-    std::lock_guard<std::mutex> lock(*shard_ctx_.system_mu);
-    hub_->Publish(hub_->slots() - 1, shard_ctx_.system_obs->registry);
-  }
+  return obs_ != nullptr ? ToPrometheusText(obs_->registry) : std::string();
 }
 
 void NetServer::ConnReadable(Connection* conn) {
@@ -666,15 +663,7 @@ void NetServer::MetricsReadable(Connection* conn) {
   if (metrics_scrapes_ != nullptr) {
     metrics_scrapes_->Increment();
   }
-  std::string body;
-  if (hub_ != nullptr) {
-    // Publish our own registry first so the scrape includes this shard's
-    // freshest epoch, then render the cross-shard aggregate.
-    MaybeFlushHub(/*force=*/true);
-    body = hub_->RenderPrometheus();
-  } else if (obs_ != nullptr) {
-    body = ToPrometheusText(obs_->registry);
-  }
+  const std::string body = RenderMetrics();
   char header[160];
   const int header_len = snprintf(
       header, sizeof(header),

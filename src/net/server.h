@@ -26,9 +26,12 @@
 //
 // Live scrape surface: with `metrics_port >= 0` the server opens a second
 // listener in the same epoll loop that answers any HTTP request with the
-// Prometheus text rendering of the registry. Because the loop is
-// single-threaded, a scrape renders between request batches — always a
-// consistent snapshot, no locks on the hot path.
+// Prometheus text rendering of the registry, between request batches. The
+// loop holds its work mutex from the return of each epoll_wait until the next
+// call, so another thread that takes the mutex reads the registry between
+// iterations too: that is how a multi-shard scrape reads the peer shards
+// (sharded_server.h). The loop blocks until an event or a loop client's
+// deadline; it has no periodic wake.
 //
 // Flight-recorder dumps: RequestTelemetryDump() is async-signal-safe
 // (atomic flag + eventfd wakeup) — signal handlers call it to get the span
@@ -69,7 +72,6 @@
 #include "src/net/request_handler.h"
 #include "src/net/response.h"
 #include "src/net/server_core.h"
-#include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
 
@@ -182,16 +184,22 @@ class NetServer final : public EventLoop {
   /// Thread-safe; never waits for the loop. An fd still queued when the
   /// server exits is closed.
   void HandOff(int fd);
-  /// Publishes this shard's registry into `hub` slot `slot` at epoch
-  /// boundaries; scrapes then serve the hub aggregate (never a mid-update
-  /// counter). Shard 0 additionally publishes the shared control-plane
-  /// registry (ShardContext::system_obs) into the hub's last slot.
-  void AttachMetricsHub(MetricsHub* hub, size_t slot) {
-    hub_ = hub;
-    hub_slot_ = slot;
-  }
   /// Serializes flight-recorder dumps across shards (shared span file).
   void SetDumpMutex(std::mutex* mu) { dump_mu_ = mu; }
+  /// Replaces the own-registry rendering of the scrape listener and the
+  /// metrics dump. `render` runs on the loop thread, which holds its work
+  /// mutex meanwhile. Must be called before Run().
+  void SetMetricsRenderer(std::function<std::string()> render) {
+    render_metrics_ = std::move(render);
+  }
+  /// The loop thread holds the work mutex from the return of each
+  /// epoll_wait until the next call, and not while it waits. Another thread
+  /// takes it with LockWork() to read obs()->registry between iterations; a
+  /// loop that finds a LockWork() waiting lets it in before its next
+  /// iteration, so the wait lasts about one iteration even under saturation.
+  void LockWork();
+  void UnlockWork();
+  Obs* obs() const { return obs_; }
 
  private:
   /// One unanswered request of a parking handler's connection.
@@ -240,8 +248,8 @@ class NetServer final : public EventLoop {
   /// Moves a connection's answered head slots into its assembler, flushes,
   /// and resumes parsing once enough parked requests have been answered.
   void FlushCompleted(Connection* conn);
-  /// epoll_wait timeout honoring the loop clients' deadlines.
-  int WaitTimeoutMs(int idle_ms) const;
+  /// epoll_wait timeout honoring the loop clients' deadlines (-1: none).
+  int WaitTimeoutMs() const;
   /// End-of-batch flush with the span write-stamp bookkeeping.
   void FlushTimed(Connection* conn, RequestTelemetry* t);
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
@@ -253,9 +261,8 @@ class NetServer final : public EventLoop {
   void AdoptHandedOff();
   /// Closes every fd HandOff() queued that was never adopted.
   void CloseHandedOff();
-  /// Epoch-publishes this shard's registry into the hub (rate-limited unless
-  /// forced).
-  void MaybeFlushHub(bool force);
+  /// Prometheus text for the scrape and the metrics dump.
+  std::string RenderMetrics() const;
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
   void CloseConn(Connection* conn, const char* reason);
@@ -316,10 +323,10 @@ class NetServer final : public EventLoop {
   uint32_t dispatch_rr_ = 0;
   std::mutex handoff_mu_;
   std::vector<int> handoff_fds_;  // guarded by handoff_mu_
-  MetricsHub* hub_ = nullptr;
-  size_t hub_slot_ = 0;
   std::mutex* dump_mu_ = nullptr;
-  int64_t last_hub_flush_us_ = -1'000'000;
+  std::function<std::string()> render_metrics_;
+  std::mutex work_mu_;
+  std::atomic<int> work_waiters_{0};  // threads inside LockWork()
 
   // High-water marks mirrored into gauges (kept locally so the hot path
   // compares against a plain size_t, not a double).

@@ -287,25 +287,14 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
     } else if (full == "net/loop/work_s") {
       flat = "loop_work";
     } else if (full.rfind("net/request_latency_s{", 0) == 0) {
+      // "_<value>" per label, in canonical order (op, outcome).
       flat = "latency";
-      // Label block -> "_<value>" per label, emission order (op, outcome).
-      const size_t open = full.find('{');
-      size_t pos = open + 1;
-      while (pos < full.size() && full[pos] != '}') {
-        const size_t eq = full.find('=', pos);
-        size_t end = full.find(',', pos);
-        if (end == std::string::npos || end > full.find('}', pos)) {
-          end = full.find('}', pos);
-        }
-        if (eq == std::string::npos || eq > end) {
-          break;
-        }
+      std::string base;
+      MetricLabels labels;
+      MetricsRegistry::SplitFullName(full, &base, &labels);
+      for (const auto& label : labels) {
         flat += '_';
-        flat += full.substr(eq + 1, end - eq - 1);
-        pos = end + (full[end] == ',' ? 1 : 0);
-        if (full[end] == '}') {
-          break;
-        }
+        flat += label.second;
       }
     } else {
       continue;

@@ -119,11 +119,6 @@ class ServerCore : public RequestHandler {
   /// synchronized; for a core whose server is not serving.
   ItemStore& store() { return store_->at(0).store; }
 
-  uint64_t cmd_get() const { return cmd_get_.value(); }
-  uint64_t cmd_set() const { return cmd_set_.value(); }
-  uint64_t get_hits() const { return get_hits_.value(); }
-  uint64_t get_misses() const { return get_misses_.value(); }
-  uint64_t sheds() const { return sheds_.value(); }
   uint64_t protocol_errors() const { return protocol_errors_.value(); }
 
  private:

@@ -12,6 +12,7 @@
 #include <sched.h>
 #endif
 
+#include "src/obs/exporters.h"
 #include "src/util/logging.h"
 
 namespace spotcache::net {
@@ -51,8 +52,7 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config,
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
       store_(shard_count_,
              std::max<size_t>(config.base.core.capacity_bytes / shard_count_,
-                              1)),
-      hub_(static_cast<size_t>(shard_count_) + 1, shard_count_) {}
+                              1)) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
@@ -72,14 +72,19 @@ bool ShardedServer::Start() {
       }
     }
     c.reuse_port = using_reuseport_;
-    shard_obs_.push_back(std::make_unique<Obs>());
-    // Per-shard tracers inherit the system tracer's enablement: each ring is
-    // only ever touched by its owning reactor thread, and the shutdown path
-    // concatenates the per-shard JSONL streams into the one trace file.
-    shard_obs_.back()->tracer.set_enabled(system_obs_ != nullptr &&
-                                          system_obs_->tracer.enabled());
-    auto shard =
-        std::make_unique<NetServer>(c, system_, shard_obs_.back().get());
+    // One shard serves with the process's Obs, as a plain NetServer would.
+    Obs* obs = shard_count_ == 1 ? system_obs_ : nullptr;
+    if (obs == nullptr) {
+      own_obs_.push_back(std::make_unique<Obs>());
+      obs = own_obs_.back().get();
+      // Per-shard tracers inherit the system tracer's enablement: each ring
+      // is only ever touched by its owning reactor thread, and the shutdown
+      // path concatenates the per-shard JSONL streams into the one trace
+      // file.
+      obs->tracer.set_enabled(system_obs_ != nullptr &&
+                              system_obs_->tracer.enabled());
+    }
+    auto shard = std::make_unique<NetServer>(c, system_, obs);
     if (clock_) {
       shard->SetClock(clock_);
     }
@@ -93,14 +98,16 @@ bool ShardedServer::Start() {
         ctx.system_mu = &system_mu_;
         ctx.system_obs = system_obs_;
       }
-      shard->AttachMetricsHub(&hub_, i);
       shard->SetDumpMutex(&dump_mu_);
+    }
+    if (i == 0) {
+      shard->SetMetricsRenderer([this] { return RenderMetricsHolding(0); });
     }
     shard->ConfigureShard(ctx);
     if (!shard->Start()) {
       SPOTCACHE_LOG(kError) << "shard " << i << " failed to start";
       shards_.clear();
-      shard_obs_.clear();
+      own_obs_.clear();
       cores_.clear();
       return false;
     }
@@ -157,6 +164,29 @@ void ShardedServer::SetClock(std::function<int64_t()> now_unix) {
   for (auto& shard : shards_) {
     shard->SetClock(clock_);
   }
+}
+
+std::string ShardedServer::RenderMetricsHolding(uint32_t held) {
+  MetricsRegistry merged;
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    if (i == held) {
+      merged.MergeFrom(shards_[i]->obs()->registry);
+      continue;
+    }
+    shards_[i]->LockWork();
+    merged.MergeFrom(shards_[i]->obs()->registry);
+    shards_[i]->UnlockWork();
+  }
+  if (shard_count_ > 1) {
+    if (system_obs_ != nullptr) {
+      // After the shards, holding no peer's work mutex: see the lock order
+      // in sharded_server.h.
+      std::lock_guard<std::mutex> lock(system_mu_);
+      merged.MergeFrom(system_obs_->registry);
+    }
+    merged.GetGauge("obs/shards")->Set(static_cast<double>(shard_count_));
+  }
+  return ToPrometheusText(merged);
 }
 
 CoreSnapshot ShardedServer::TotalSnapshot() const {

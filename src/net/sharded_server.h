@@ -22,16 +22,27 @@
 //     store counters, one partition lock at a time, and every shard's
 //     command counters, which are single-writer relaxed atomics
 //     (ServerCore::Snapshot).
-//   * Prometheus scrape (`--metrics-port`, shard 0's loop) — shards
-//     epoch-publish registry copies into a MetricsHub; the scrape renders
-//     the aggregate, never a mid-update counter (metrics_hub.h).
+//   * Prometheus scrape (`--metrics-port`, shard 0's loop), the metrics
+//     dump and the final `--metrics` file — RenderMetrics() merges every
+//     shard's registry when asked. It takes each peer's work mutex in turn
+//     (NetServer::LockWork: the loop holds it for the work part of each
+//     iteration), so it waits for about one iteration of each peer and
+//     never reads a counter mid-update. Counters and gauges sum, histograms
+//     merge bucket-exactly. The shared control-plane registry is merged
+//     after the shards, under `system_mu`, never while a work mutex is
+//     awaited: a reactor takes `system_mu` under its own work mutex.
+//     Lock order: a work mutex, then at most one leaf lock (a partition,
+//     `system_mu`, the dump mutex or a hand-off queue) under which nothing
+//     else is taken. Only shard 0's loop renders while holding its own work
+//     mutex, and it takes peers' work mutexes one at a time.
 //   * SIGUSR1 flight recorder — RequestTelemetryDump() fans out to every
 //     shard (async-signal-safe); dumps append to one shared span file under
-//     a shared mutex, and shard 0 writes the hub-aggregated metrics file.
+//     a shared mutex, and shard 0 writes the merged metrics file.
 //
 // threads == 1 is one NetServer over one partition holding the whole
-// capacity, with no hub and no shared cas: byte-identical to the plain
-// server.
+// capacity, with no shared cas, serving with the process's Obs (so the
+// control-plane registry is its own): byte-identical to a plain NetServer
+// on the wire, in the scrape, the metrics file and the trace.
 
 #pragma once
 
@@ -39,11 +50,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/net/server.h"
 #include "src/net/sharding.h"
-#include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 
 namespace spotcache {
@@ -105,14 +116,26 @@ class ShardedServer {
   bool using_reuseport() const { return using_reuseport_; }
 
   NetServer& shard(size_t i) { return *shards_[i]; }
-  Obs& shard_obs(size_t i) { return *shard_obs_[i]; }
-  MetricsHub& hub() { return hub_; }
+  /// Shard i's obs bundle: the process's own (`system_obs`) when one shard
+  /// serves with it, else a private one.
+  Obs& shard_obs(size_t i) { return *shards_[i]->obs(); }
+
+  /// Prometheus text of every shard's registry merged with the control-plane
+  /// registry, plus `obs/shards` when there is more than one shard. Safe
+  /// while serving, from any thread that holds no shard's work mutex.
+  std::string RenderMetrics() {
+    return RenderMetricsHolding(/*held=*/kMaxShards);  // none
+  }
 
   /// The whole server's counters (what `stats` reports). Safe while
   /// serving.
   CoreSnapshot TotalSnapshot() const;
 
  private:
+  /// RenderMetrics() for a caller that already holds shard `held`'s work
+  /// mutex (shard 0's own loop; std::mutex is not recursive).
+  std::string RenderMetricsHolding(uint32_t held);
+
   ShardedServerConfig config_;
   SpotCacheSystem* system_;
   Obs* system_obs_;
@@ -121,10 +144,9 @@ class ShardedServer {
   bool using_reuseport_ = false;
 
   PartitionedStore store_;
-  MetricsHub hub_;  // one slot per shard + one for the control registry
   std::mutex system_mu_;
   std::mutex dump_mu_;
-  std::vector<std::unique_ptr<Obs>> shard_obs_;
+  std::vector<std::unique_ptr<Obs>> own_obs_;  // the shards' private bundles
   std::vector<std::unique_ptr<NetServer>> shards_;
   std::vector<const ServerCore*> cores_;  // shards_[i]->core(), for stats
 };

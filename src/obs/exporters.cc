@@ -11,30 +11,6 @@ namespace spotcache {
 
 namespace {
 
-// Splits a canonical registry name ("spot/revocations{market=m4.L-c}") into
-// its base and label pairs.
-void SplitFullName(const std::string& full, std::string* base,
-                   MetricLabels* labels) {
-  const size_t brace = full.find('{');
-  if (brace == std::string::npos) {
-    *base = full;
-    return;
-  }
-  *base = full.substr(0, brace);
-  size_t pos = brace + 1;
-  while (pos < full.size() && full[pos] != '}') {
-    const size_t comma = full.find(',', pos);
-    const size_t end =
-        comma == std::string::npos ? full.size() - 1 : comma;  // '}' or ','
-    const std::string pair = full.substr(pos, end - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string::npos) {
-      labels->emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    }
-    pos = end + 1;
-  }
-}
-
 std::string SanitizeMetricName(std::string_view base) {
   std::string out;
   out.reserve(base.size());
@@ -82,7 +58,7 @@ void AppendLine(std::string* out, const std::string& full,
                     nullptr) {
   std::string base;
   MetricLabels labels;
-  SplitFullName(full, &base, &labels);
+  MetricsRegistry::SplitFullName(full, &base, &labels);
   if (extra_label != nullptr) {
     labels.push_back(*extra_label);
   }

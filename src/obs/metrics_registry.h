@@ -91,6 +91,10 @@ class MetricsRegistry {
   /// (empty labels add nothing). Two Get* calls with the same canonical name
   /// return the same object.
   static std::string FullName(std::string_view name, MetricLabels labels);
+  /// The inverse of FullName: splits "spot/revocations{market=m4.L-c}" into
+  /// its base name and its label pairs, in their canonical order.
+  static void SplitFullName(std::string_view full, std::string* base,
+                            MetricLabels* labels);
 
   Counter* GetCounter(std::string_view name, MetricLabels labels = {});
   Gauge* GetGauge(std::string_view name, MetricLabels labels = {});
@@ -112,6 +116,10 @@ class MetricsRegistry {
     return histograms_;
   }
   const std::map<std::string, MetricSeries>& series() const { return series_; }
+
+  /// Adds `other` into this registry: counters and gauges sum, histograms
+  /// merge bucket-exactly (one shared geometry). Series are not merged.
+  void MergeFrom(const MetricsRegistry& other);
 
  private:
   // std::map: stable addresses across inserts (Get* pointers never dangle).

@@ -1,8 +1,10 @@
-// spotcache_server signal handling (ISSUE 7 satellite): SIGUSR1 dumps the
-// flight recorder + a live metrics snapshot without interrupting service;
-// SIGTERM still shuts down cleanly (exit 0, artifacts written). Drives the
-// real binary — the path to it arrives as argv[1] (wired by CMake via
-// $<TARGET_FILE:spotcache_server>); the test skips if it's absent.
+// spotcache_server signal handling: SIGUSR1 dumps the flight recorder + a
+// live metrics snapshot without interrupting service; SIGTERM still shuts
+// down cleanly (exit 0, artifacts written). Every case runs at --threads=1
+// and --threads=2, so the dump, the final --metrics file and the live scrape
+// all go through the one merged render. Drives the real binary — the path to
+// it arrives as argv[1] (wired by CMake via $<TARGET_FILE:spotcache_server>);
+// the test skips if it's absent.
 
 #include <gtest/gtest.h>
 
@@ -125,24 +127,29 @@ class ServerProcess {
   std::string stdout_;
 };
 
-class ServerSignalsTest : public ::testing::Test {
+/// Parameter: the server's --threads.
+class ServerSignalsTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     if (g_server_bin.empty()) {
       GTEST_SKIP() << "spotcache_server binary path not provided";
     }
   }
+
+  std::string ThreadsFlag() const {
+    return "--threads=" + std::to_string(GetParam());
+  }
 };
 
-TEST_F(ServerSignalsTest, Usr1DumpsWithoutStoppingThenTermExitsClean) {
+TEST_P(ServerSignalsTest, Usr1DumpsWithoutStoppingThenTermExitsClean) {
   char dir[] = "/tmp/spotcache_signals_XXXXXX";
   ASSERT_NE(::mkdtemp(dir), nullptr);
   const std::string spans = std::string(dir) + "/spans.jsonl";
   const std::string metrics = std::string(dir) + "/metrics.prom";
 
-  ServerProcess server({"--spans=" + spans, "--metrics=" + metrics,
-                        "--span-sample=1", "--latency-sample=1",
-                        "--slow-us=-1"});
+  ServerProcess server({ThreadsFlag(), "--spans=" + spans,
+                        "--metrics=" + metrics, "--span-sample=1",
+                        "--latency-sample=1", "--slow-us=-1"});
   ASSERT_GT(server.pid(), 0);
   server.ReadUntil("listening ");
   const uint16_t port = server.PortAfter("listening ");
@@ -189,8 +196,8 @@ TEST_F(ServerSignalsTest, Usr1DumpsWithoutStoppingThenTermExitsClean) {
   ::rmdir(dir);
 }
 
-TEST_F(ServerSignalsTest, MetricsPortServesLiveScrape) {
-  ServerProcess server({"--metrics-port=0"});
+TEST_P(ServerSignalsTest, MetricsPortServesLiveScrape) {
+  ServerProcess server({ThreadsFlag(), "--metrics-port=0"});
   ASSERT_GT(server.pid(), 0);
   server.ReadUntil("metrics listening ");
   const uint16_t port = server.PortAfter("listening ");
@@ -218,10 +225,16 @@ TEST_F(ServerSignalsTest, MetricsPortServesLiveScrape) {
     body += '\n';
   }
   EXPECT_NE(body.find("net_requests"), std::string::npos);
+  // Only a multi-shard scrape reports its shard count; one shard reads as
+  // the plain server always did.
+  EXPECT_EQ(body.find("obs_shards 2\n") != std::string::npos,
+            GetParam() == 2);
   scraper.Close();
   cache.Close();
   EXPECT_EQ(server.Terminate(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, ServerSignalsTest, ::testing::Values(1, 2));
 
 }  // namespace
 }  // namespace spotcache
