@@ -17,11 +17,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/fleet/drill.h"
 #include "src/fleet/membership_publisher.h"
 #include "src/proxy/membership.h"
+#include "src/proxy/upstream_pool.h"
 
 namespace spotcache::fleet {
 namespace {
@@ -275,6 +278,37 @@ TEST(MembershipPublisher, PublishesAtomicGenerationsAndMirrorsTheRing) {
     }
   }
   EXPECT_EQ(notifies, 5);
+  ::unlink(path.c_str());
+}
+
+// The publisher's mirror ring and the proxy pool's ring follow one placement
+// rule, so the warm-up streams the keys the proxy will route to a
+// replacement: after every membership edit both name the same owner for every
+// key.
+TEST(MembershipPublisher, OwnersMatchTheProxyPoolAcrossEdits) {
+  const std::string path = ::testing::TempDir() + "membership_ring_" +
+                           std::to_string(::getpid()) + ".txt";
+  MembershipPublisher pub(path, [] {});
+  proxy::UpstreamPool pool((proxy::UpstreamPoolConfig()));
+  const std::vector<std::function<void()>> edits = {
+      [&] { pub.SetNode(0, "127.0.0.1", 18101); },
+      [&] { pub.SetNode(1, "127.0.0.1", 18102); },
+      [&] { pub.SetNode(2, "127.0.0.1", 18103); },
+      [&] { pub.MarkDead(1); },
+      [&] { pub.SetNode(3, "127.0.0.1", 18104); },
+      [&] { pub.MarkDead(0); },
+      [&] { pub.SetNode(1, "127.0.0.1", 18105); },
+      [&] { pub.MarkDead(7); },
+  };
+  for (size_t step = 0; step < edits.size(); ++step) {
+    edits[step]();
+    pool.ApplyMembership(pub.Snapshot());
+    for (int i = 0; i < 10'000; ++i) {
+      const std::string key = "ring:" + std::to_string(i);
+      ASSERT_EQ(pub.OwnerOf(key), pool.OwnerOf(key))
+          << "step " << step << " key " << key;
+    }
+  }
   ::unlink(path.c_str());
 }
 

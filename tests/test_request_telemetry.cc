@@ -173,6 +173,42 @@ TEST(RequestTelemetry, SpanJsonHasAllPhases) {
   }
 }
 
+// The ring dump and the live tracer write one `request_span` schema: the
+// same bytes for the same record.
+TEST(RequestTelemetry, SpanJsonIsByteExactAndMatchesTheTracer) {
+  SpanRecord span;
+  span.t_start_us = 123;
+  span.conn_id = 42;
+  span.op = TelemetryOp::kGet;
+  span.outcome = RequestOutcome::kMiss;
+  span.full_span = true;
+  span.queue_us = 1;
+  span.parse_us = 2;
+  span.route_us = 3;
+  span.store_us = 4;
+  span.write_us = 5;
+  span.total_us = 15;
+  span.keys = 2;
+  EXPECT_EQ(RequestTelemetry::RenderSpanJson(span),
+            "{\"t_us\":123,\"type\":\"request_span\",\"conn\":42,"
+            "\"op\":\"get\",\"outcome\":\"miss\",\"full_span\":true,"
+            "\"slow\":false,\"queue_us\":1,\"parse_us\":2,\"route_us\":3,"
+            "\"store_us\":4,\"write_us\":5,\"total_us\":15,\"keys\":2,"
+            "\"bytes\":0}");
+
+  Obs obs;
+  RequestTelemetry telemetry(AlwaysSample(), &obs);
+  telemetry.BeginBatch(7);
+  for (int i = 0; i < 3; ++i) {
+    telemetry.BeginRequest();
+    telemetry.OnParsed(TelemetryOp::kSet, 1);
+    telemetry.OnExecuted(RequestOutcome::kStored, 10 + i);
+  }
+  telemetry.EndBatch(4);
+  ASSERT_EQ(telemetry.ring_size(), 3u);
+  EXPECT_EQ(ToJsonl(obs.tracer), telemetry.RenderFlightRecorderJsonl());
+}
+
 TEST(RequestTelemetry, AbandonedRequestsLeaveNoRecord) {
   Obs obs;
   RequestTelemetry telemetry(AlwaysSample(), &obs);

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +34,7 @@
 #include "src/net/sharded_server.h"
 #include "src/net/sharding.h"
 #include "src/obs/obs.h"
+#include "src/proxy/proxy_core.h"
 
 namespace spotcache::net {
 namespace {
@@ -72,7 +75,8 @@ std::string Scrape(uint16_t port) {
   return out;
 }
 
-/// Value of the unlabelled series `name` in a scrape, or -1 when absent.
+/// Value of the series `name` (labels included) in a scrape, or -1 when
+/// absent.
 long PromValue(const std::string& scrape, const std::string& name) {
   const std::string text = "\n" + scrape;
   const std::string needle = "\n" + name + " ";
@@ -672,6 +676,239 @@ TEST(ShardedServer, SharedKeysStayWholeAcrossReactors) {
   loop.join();
   finished.store(true);
   watchdog.join();
+}
+
+
+// --- One count, two surfaces. -----------------------------------------------
+//
+// `stats` and the scrape must report every count they share with the same
+// value: after a scripted mix of hits, misses, sheds and protocol errors, each
+// `stats` line whose scrape series exists reads equal, at one and two shards
+// and through the proxy with a dead upstream.
+
+/// Requests one exercise of every server count: stores, hits, misses (a key
+/// the model still holds but the store deleted), touches, sheds (keys the
+/// model never saw, under an admission gate that refuses every backend read),
+/// protocol errors and a flush.
+constexpr char kServerScript[] =
+    "set k1 0 0 2\r\nv1\r\n"
+    "set k2 0 0 2\r\nv2\r\n"
+    "set k3 0 0 2\r\nv3\r\n"
+    "add k1 0 0 2\r\nzz\r\n"
+    "get k1\r\n"
+    "gets k1 k2 k3\r\n"
+    "delete k3\r\n"
+    "delete never\r\n"
+    "get k3\r\n"
+    "get k1 k3 k2\r\n"
+    "touch k2 0\r\n"
+    "touch never 0\r\n"
+    "get unseen1\r\n"
+    "get k1 unseen2 k2\r\n"
+    "bogus\r\n"
+    "set k4 0 0 notanumber\r\n"
+    "get\r\n"
+    "flush_all\r\n";
+
+/// Compares every numeric `stats` line with the scrape series that `scrape_of`
+/// names for it, where that series exists. Returns the stat names compared.
+std::vector<std::string> ExpectStatsMatchScrape(
+    const std::map<std::string, std::string>& stats, const std::string& scrape,
+    const std::function<std::string(const std::string&)>& scrape_of) {
+  std::vector<std::string> compared;
+  for (const auto& [name, value] : stats) {
+    const long scraped = PromValue(scrape, scrape_of(name));
+    if (scraped < 0) {
+      continue;
+    }
+    EXPECT_EQ(std::atol(value.c_str()), scraped)
+        << name << " vs " << scrape_of(name);
+    compared.push_back(name);
+  }
+  return compared;
+}
+
+bool Contains(const std::vector<std::string>& names, const std::string& n) {
+  return std::find(names.begin(), names.end(), n) != names.end();
+}
+
+TEST(CountAgreement, ServerStatsEqualScrapeAtOneAndTwoShards) {
+  for (const uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    Obs obs;
+    SpotCacheSystem::Config sys;
+    sys.obs = &obs;
+    sys.resilience.enabled = true;
+    // Every backend read is refused: a key the model has not cached sheds.
+    sys.resilience.admission.backend_capacity_ops = 1.0;
+    sys.resilience.admission.shed_budget = 1.0;
+    SpotCacheSystem system(sys);
+    system.AdvanceSlot(100e3, 10.0);
+
+    ShardedServerConfig config;
+    config.base.port = 0;
+    config.base.metrics_port = 0;
+    config.threads = threads;
+    config.force_dispatch = true;  // the two connections land on two shards
+    ShardedServer server(config, &system, &obs);
+    server.SetClock([] { return kT0; });
+    ASSERT_TRUE(server.Start());
+    std::thread loop([&server] { server.Run(); });
+
+    NetClient a;
+    NetClient b;
+    ASSERT_TRUE(a.Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(b.Connect("127.0.0.1", server.port()));
+    for (NetClient* c : {&a, &b}) {
+      const auto reply = c->RoundTripRaw(kServerScript);
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_NE(reply->find("SERVER_ERROR temporarily overloaded"),
+                std::string::npos);
+    }
+    const auto stats = a.Stats();
+    ASSERT_TRUE(stats.has_value());
+    const std::string scrape = Scrape(server.metrics_port());
+
+    EXPECT_GT(std::atol(stats->at("get_hits").c_str()), 0);
+    EXPECT_GT(std::atol(stats->at("get_misses").c_str()), 0);
+    EXPECT_GT(std::atol(stats->at("sheds").c_str()), 0);
+    EXPECT_GT(std::atol(stats->at("protocol_errors").c_str()), 0);
+    const std::vector<std::string> compared = ExpectStatsMatchScrape(
+        *stats, scrape, [](const std::string& name) {
+          return name == "cmd_set" ? std::string("net_sets") : "net_" + name;
+        });
+    for (const char* name :
+         {"cmd_set", "get_hits", "get_misses", "sheds", "protocol_errors"}) {
+      EXPECT_TRUE(Contains(compared, name)) << name << " has no series";
+    }
+    // The control-plane ladder counted the same sheds the server refused.
+    EXPECT_EQ(SpotcacheStat(a, "spotcache_served_shed"),
+              PromValue(scrape, "resilience_served{rung=\"shed\"}"));
+    EXPECT_EQ(SpotcacheStat(a, "spotcache_served_shed"),
+              std::atol(stats->at("sheds").c_str()));
+    a.Close();
+    b.Close();
+    server.Stop();
+    loop.join();
+  }
+}
+
+TEST(CountAgreement, ProxyStatsEqualScrapeWithADeadUpstream) {
+  // One live upstream and one slot whose port refuses connections, no
+  // backup: keys homed on the dead slot shed on get and find no rung on
+  // write.
+  NetServer upstream((NetServerConfig()));
+  upstream.SetClock([] { return kT0; });
+  ASSERT_TRUE(upstream.Start());
+  std::thread upstream_loop([&upstream] { upstream.Run(); });
+  uint16_t refused = 0;
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    ::close(fd);
+    refused = ntohs(addr.sin_port);
+  }
+
+  Obs obs;
+  proxy::ProxyCore core(proxy::ProxyCoreConfig{}, &obs);
+  core.pool().SetNode(0, "127.0.0.1", upstream.port());
+  core.pool().SetNode(1, "127.0.0.1", refused);
+  std::vector<std::string> live;
+  std::vector<std::string> dead;
+  for (int i = 0; live.size() < 3 || dead.size() < 3; ++i) {
+    const std::string key = "pk" + std::to_string(i);
+    (core.pool().OwnerOf(key) == 0u ? live : dead).push_back(key);
+  }
+
+  NetServerConfig proxy_config;
+  proxy_config.metrics_port = 0;
+  NetServer proxy(proxy_config, /*system=*/nullptr, &obs);
+  proxy.SetHandler(&core);
+  proxy.SetClock([] { return kT0; });
+  ASSERT_TRUE(proxy.Start());
+  std::thread proxy_loop([&proxy] { proxy.Run(); });
+
+  std::string script;
+  for (const std::string& k : live) {
+    script += "set " + k + " 0 0 1\r\nv\r\n";
+  }
+  for (const std::string& k : dead) {
+    script += "set " + k + " 0 0 1\r\nv\r\n";
+  }
+  script += "get " + live[0] + " " + dead[0] + " " + live[1] + "\r\n";
+  script += "get never " + dead[1] + "\r\n";
+  script += "delete " + live[2] + "\r\n";
+  script += "delete " + dead[2] + "\r\n";
+  script += "get " + live[2] + "\r\n";
+  script += "touch " + live[0] + " 0\r\n";
+  script += "bogus\r\n";
+  script += "get\r\n";
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()));
+  const auto reply = client.RoundTripRaw(script);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find("SERVER_ERROR proxy upstream unavailable"),
+            std::string::npos);
+  const auto stats = client.Stats();
+  ASSERT_TRUE(stats.has_value());
+  const std::string scrape = Scrape(proxy.metrics_port());
+
+  EXPECT_GT(std::atol(stats->at("proxy_sheds").c_str()), 0);
+  EXPECT_GT(std::atol(stats->at("proxy_set_failures").c_str()), 0);
+  EXPECT_GT(std::atol(stats->at("proxy_get_hits").c_str()), 0);
+  EXPECT_GT(std::atol(stats->at("proxy_get_misses").c_str()), 0);
+  const std::vector<std::string> compared = ExpectStatsMatchScrape(
+      *stats, scrape, [](const std::string& name) { return name; });
+  for (const char* name :
+       {"proxy_get_hits", "proxy_get_misses", "proxy_sheds", "proxy_sets",
+        "proxy_absorbed_failures", "proxy_protocol_errors"}) {
+    EXPECT_TRUE(Contains(compared, name)) << name << " has no series";
+  }
+  client.Close();
+  proxy.Stop();
+  proxy_loop.join();
+  upstream.Stop();
+  upstream_loop.join();
+}
+
+// `net_bytes_out` counts cache replies only: scrapes served before a script
+// add nothing to it.
+TEST(CountAgreement, BytesOutCountsOnlyCacheReplies) {
+  for (const uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    ShardedServerConfig config;
+    config.base.port = 0;
+    config.base.metrics_port = 0;
+    config.threads = threads;
+    ShardedServer server(config);
+    server.SetClock([] { return kT0; });
+    ASSERT_TRUE(server.Start());
+    std::thread loop([&server] { server.Run(); });
+
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_NE(Scrape(server.metrics_port()).find("HTTP/1.0 200 OK"),
+                std::string::npos);
+    }
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    const auto reply = client.RoundTripRaw(
+        "set b1 0 0 5\r\nhello\r\nget b1 b2\r\nbogus\r\ndelete b1\r\n");
+    ASSERT_TRUE(reply.has_value());
+    const std::string scrape = Scrape(server.metrics_port());
+    // The reply bytes plus the sentinel's "VERSION <v>\r\n".
+    const std::string sentinel = "VERSION spotcache-1.6.0\r\n";
+    EXPECT_EQ(PromValue(scrape, "net_bytes_out"),
+              static_cast<long>(reply->size() + sentinel.size()));
+    client.Close();
+    server.Stop();
+    loop.join();
+  }
 }
 
 }  // namespace
