@@ -313,23 +313,18 @@ int main(int argc, char** argv) {
                 config.span_dump_path.c_str());
   }
 
-  const proxy::ProxyStats& stats = proxy_core.stats();
-  const proxy::UpstreamPoolStats& pool = proxy_core.pool().stats();
+  const auto count = [&obs](const char* name) {
+    return static_cast<long long>(
+        obs.registry.CounterValue(std::string("proxy/") + name));
+  };
   std::printf(
-      "proxied: %llu requests, %llu get keys (%llu hits, %llu backup, "
-      "%llu misses, %llu sheds), %llu sets (%llu failed), "
-      "%llu absorbed failures, %llu reconnects, %llu reloads\n",
-      static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.get_keys),
-      static_cast<unsigned long long>(stats.get_hits),
-      static_cast<unsigned long long>(stats.backup_hits),
-      static_cast<unsigned long long>(stats.misses),
-      static_cast<unsigned long long>(stats.sheds),
-      static_cast<unsigned long long>(stats.sets),
-      static_cast<unsigned long long>(stats.set_failures),
-      static_cast<unsigned long long>(pool.absorbed_failures),
-      static_cast<unsigned long long>(pool.reconnects),
-      static_cast<unsigned long long>(stats.reloads));
+      "proxied: %lld requests, %lld get keys (%lld hits, %lld backup, "
+      "%lld misses, %lld sheds), %lld sets (%lld failed), "
+      "%lld absorbed failures, %lld reconnects, %lld reloads\n",
+      count("requests"), count("get_keys"), count("get_hits"),
+      count("backup_hits"), count("get_misses"), count("sheds"),
+      count("sets"), count("set_failures"), count("absorbed_failures"),
+      count("reconnects"), count("reloads"));
   if (!pidfile_path.empty()) {
     ::unlink(pidfile_path.c_str());
   }

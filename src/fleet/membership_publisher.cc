@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/routing/hash.h"
-
 namespace spotcache::fleet {
 
 MembershipPublisher::MembershipPublisher(std::string path,
@@ -23,7 +21,7 @@ proxy::MemberNode* MembershipPublisher::NodeLocked(uint64_t slot) {
             [](const proxy::MemberNode& a, const proxy::MemberNode& b) {
               return a.slot < b.slot;
             });
-  ring_.SetNode(slot, 1.0);
+  ring_.Add(slot);
   return NodeLocked(slot);
 }
 
@@ -64,7 +62,7 @@ void MembershipPublisher::MarkDead(uint64_t slot) {
 std::optional<uint64_t> MembershipPublisher::OwnerOf(
     std::string_view key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_.NodeFor(HashString(key));
+  return ring_.OwnerOf(key);
 }
 
 proxy::FleetMembership MembershipPublisher::Snapshot() const {

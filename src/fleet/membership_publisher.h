@@ -10,10 +10,10 @@
 // therefore sees each chaos action as a whole-document generation step,
 // never a torn intermediate state.
 //
-// A mirror ConsistentHashRing (built exactly like the proxy's UpstreamPool
-// ring: HashString on the key, weight 1.0 per slot, dead slots kept on the
-// ring) answers OwnerOf so the drill can compute which hot keys a slot's
-// replacement must be re-fed without asking the proxy.
+// A mirror proxy::SlotRing (the proxy's UpstreamPool routes by the same
+// rule; dead slots stay on the ring) answers OwnerOf so the drill can compute
+// which hot keys a slot's replacement must be re-fed without asking the
+// proxy.
 //
 // Thread safety: all entry points take one internal mutex (the controller
 // calls from its chaos thread; the drill reads OwnerOf from setup code).
@@ -27,7 +27,6 @@
 #include <string>
 
 #include "src/proxy/membership.h"
-#include "src/routing/consistent_hash.h"
 
 namespace spotcache::fleet {
 
@@ -69,7 +68,7 @@ class MembershipPublisher {
 
   mutable std::mutex mu_;
   proxy::FleetMembership membership_;
-  ConsistentHashRing ring_;
+  proxy::SlotRing ring_;
   bool save_failed_ = false;
 };
 

@@ -28,6 +28,8 @@
 #include <string>
 #include <string_view>
 
+#include "src/net/protocol.h"
+
 namespace spotcache::net {
 
 /// Why the last transport operation failed. kNone after any success;
@@ -114,7 +116,7 @@ class NetClient {
   /// noreply commands (which produce nothing). Payloads that themselves end
   /// with the sentinel string would fool the framing; don't do that.
   std::optional<std::string> RoundTripRaw(
-      std::string_view bytes, std::string_view server_version = "spotcache-1.6.0");
+      std::string_view bytes, std::string_view server_version = kServerVersion);
   /// Reads one CRLF-terminated line (without the terminator).
   std::optional<std::string> ReadLine();
   /// Reads exactly n bytes.

@@ -39,6 +39,9 @@ inline constexpr size_t kMaxValueBytes = 1024 * 1024;
 /// newline. Generous enough for multi-get bursts (~60 max-length keys).
 inline constexpr size_t kMaxCommandLineBytes = 16 * 1024;
 
+/// What `version` answers, from the server and the proxy alike.
+inline constexpr char kServerVersion[] = "spotcache-1.6.0";
+
 enum class Verb : uint8_t {
   kGet,
   kGets,

@@ -31,6 +31,10 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+constexpr int kListenBacklog = 512;
+/// recv() chunk per readiness callback.
+constexpr size_t kRecvChunk = 64 * 1024;
+
 /// Concurrent scrape connections tolerated beyond max_connections: scrapes
 /// must succeed while the cache listener is saturated, but stay bounded.
 constexpr size_t kMaxMetricsConns = 32;
@@ -132,7 +136,7 @@ int NetServer::OpenListener(uint16_t port, uint16_t* bound_port) {
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, config_.bind_host.c_str(), &addr.sin_addr) != 1 ||
       ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, config_.listen_backlog) != 0 || !SetNonBlocking(fd)) {
+      ::listen(fd, kListenBacklog) != 0 || !SetNonBlocking(fd)) {
     ::close(fd);
     return -1;
   }
@@ -600,14 +604,14 @@ void NetServer::ConnReadable(Connection* conn) {
     return;
   }
   for (;;) {
-    char* dst = conn->parser.WritePtr(config_.recv_chunk);
-    const ssize_t n = ::recv(conn->fd, dst, config_.recv_chunk, 0);
+    char* dst = conn->parser.WritePtr(kRecvChunk);
+    const ssize_t n = ::recv(conn->fd, dst, kRecvChunk, 0);
     if (n > 0) {
       conn->parser.Commit(static_cast<size_t>(n));
       if (bytes_in_ != nullptr) {
         bytes_in_->Increment(n);
       }
-      if (static_cast<size_t>(n) < config_.recv_chunk) {
+      if (static_cast<size_t>(n) < kRecvChunk) {
         break;  // drained the socket
       }
       continue;
@@ -771,6 +775,8 @@ void NetServer::FlushTimed(Connection* conn, RequestTelemetry* t) {
 }
 
 void NetServer::Flush(Connection* conn) {
+  // Scrape responses are not cache replies: net/bytes_out skips them.
+  Counter* const bytes_out = conn->is_metrics ? nullptr : bytes_out_;
   // Drain any previously buffered bytes first to preserve ordering.
   while (conn->pending_sent < conn->pending_out.size()) {
     const ssize_t n =
@@ -778,8 +784,8 @@ void NetServer::Flush(Connection* conn) {
                conn->pending_out.size() - conn->pending_sent, MSG_NOSIGNAL);
     if (n > 0) {
       conn->pending_sent += static_cast<size_t>(n);
-      if (bytes_out_ != nullptr) {
-        bytes_out_->Increment(n);
+      if (bytes_out != nullptr) {
+        bytes_out->Increment(n);
       }
       continue;
     }
@@ -823,8 +829,8 @@ void NetServer::Flush(Connection* conn) {
         CloseConn(conn, "write_error");
         return;
       }
-      if (bytes_out_ != nullptr) {
-        bytes_out_->Increment(n);
+      if (bytes_out != nullptr) {
+        bytes_out->Increment(n);
       }
       size_t left = static_cast<size_t>(n);
       while (left > 0 && iov_index < iov.size()) {

@@ -11,7 +11,8 @@
 //
 // Observability uses the PR-2 vocabulary: `net/*` counters
 // (conns_opened/conns_closed/bytes_in/bytes_out/slow_consumer_closes plus
-// ServerCore's request counters) and JSONL `conn_open` / `conn_close` /
+// ServerCore's request counters; bytes_in/bytes_out count cache traffic only,
+// never the scrape listener's HTTP) and JSONL `conn_open` / `conn_close` /
 // `protocol_error` events stamped with microseconds since server start.
 //
 // Serving-path telemetry (this PR): the server owns a RequestTelemetry that
@@ -80,10 +81,7 @@ namespace spotcache::net {
 struct NetServerConfig {
   std::string bind_host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; see NetServer::port() after Start()
-  int listen_backlog = 512;
   size_t max_connections = 1024;
-  /// recv() chunk per readiness callback.
-  size_t recv_chunk = 64 * 1024;
   /// Slow-consumer cap on buffered unsent bytes before the connection drops.
   size_t max_output_buffer = 8 * 1024 * 1024;
   ServerCoreConfig core;

@@ -30,18 +30,22 @@ TelemetryOp OpFor(Verb verb) {
 
 ServerCore::ServerCore(const ServerCoreConfig& config, SpotCacheSystem* system,
                        Obs* obs)
-    : config_(config),
-      own_store_(std::make_unique<PartitionedStore>(1, config.capacity_bytes)),
+    : own_store_(std::make_unique<PartitionedStore>(1, config.capacity_bytes)),
       store_(own_store_.get()),
       system_(system),
       obs_(obs) {
+  MetricsRegistry& reg = obs != nullptr ? obs->registry : own_registry_;
+  cmd_get_ = reg.GetCounter("net/cmd_get");
+  cmd_set_ = reg.GetCounter("net/sets");
+  cmd_touch_ = reg.GetCounter("net/cmd_touch");
+  cmd_delete_ = reg.GetCounter("net/cmd_delete");
+  cmd_flush_ = reg.GetCounter("net/cmd_flush");
+  get_hits_ = reg.GetCounter("net/get_hits");
+  get_misses_ = reg.GetCounter("net/get_misses");
+  sheds_ = reg.GetCounter("net/sheds");
+  protocol_errors_ = reg.GetCounter("net/protocol_errors");
   if (obs != nullptr) {
-    obs_requests_ = obs->registry.GetCounter("net/requests");
-    obs_get_hits_ = obs->registry.GetCounter("net/get_hits");
-    obs_get_misses_ = obs->registry.GetCounter("net/get_misses");
-    obs_sets_ = obs->registry.GetCounter("net/sets");
-    obs_sheds_ = obs->registry.GetCounter("net/sheds");
-    obs_protocol_errors_ = obs->registry.GetCounter("net/protocol_errors");
+    requests_ = reg.GetCounter("net/requests");
   }
 }
 
@@ -85,7 +89,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
       system_ != nullptr && telemetry_ != nullptr && telemetry_->span_active();
   Outcome result{RequestOutcome::kHit, 0};
   for (const std::string_view key : req.keys) {
-    cmd_get_.Increment();
+    cmd_get_->Increment();
     ServedBy served;
     if (time_route) {
       const int64_t t0 = RequestTelemetry::NowMicros();
@@ -97,10 +101,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     if (served == ServedBy::kDropped) {
       // The ladder shed this key: fail the whole retrieval loudly rather
       // than silently reporting a miss — clients must see backpressure.
-      sheds_.Increment();
-      if (obs_sheds_ != nullptr) {
-        obs_sheds_->Increment();
-      }
+      sheds_->Increment();
       out->Append("SERVER_ERROR temporarily overloaded\r\n");
       result.outcome = RequestOutcome::kShed;
       return result;
@@ -123,19 +124,13 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
       }
     }
     if (!data) {
-      get_misses_.Increment();
-      if (obs_get_misses_ != nullptr) {
-        obs_get_misses_->Increment();
-      }
+      get_misses_->Increment();
       if (result.outcome == RequestOutcome::kHit) {
         result.outcome = RequestOutcome::kMiss;
       }
       continue;
     }
-    get_hits_.Increment();
-    if (obs_get_hits_ != nullptr) {
-      obs_get_hits_->Increment();
-    }
+    get_hits_->Increment();
     result.value_bytes += data->size();
     if (with_cas) {
       out->Appendf("VALUE %.*s %u %" PRIu32 " %" PRIu64 "\r\n",
@@ -156,10 +151,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
 ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
                                               int64_t now,
                                               ResponseAssembler* out) {
-  cmd_set_.Increment();
-  if (obs_sets_ != nullptr) {
-    obs_sets_->Increment();
-  }
+  cmd_set_->Increment();
   const std::string_view key = req.keys[0];
   // The block is built before the lock, which then covers only the index
   // update and the cas draw. A refused block is freed at the end of this
@@ -231,15 +223,15 @@ void ServerCore::AppendResilienceStats(ResponseAssembler* out) {
                  rung("backend"));
     out->Appendf("STAT spotcache_served_shed %" PRId64 "\r\n", rung("shed"));
   }
-  const uint64_t keyed = cmd_get_.value() + cmd_set_.value();
+  const int64_t keyed = cmd_get_->value() + cmd_set_->value();
   out->Appendf("STAT spotcache_shed_fraction %.6f\r\n",
                keyed == 0 ? 0.0
-                          : static_cast<double>(sheds_.value()) /
+                          : static_cast<double>(sheds_->value()) /
                                 static_cast<double>(keyed));
 }
 
 void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
-  out->Appendf("STAT spotcache_version %s\r\n", config_.version.c_str());
+  out->Appendf("STAT spotcache_version %s\r\n", kServerVersion);
   if (sharded()) {
     // Which reactor owns this connection (loadgen uses this to report its
     // per-connection shard distribution), plus the shard fan-out. Telemetry
@@ -314,7 +306,7 @@ void ServerCore::AppendDefaultStats(int64_t now, ResponseAssembler* out) {
   const auto stat_u = [out](const char* name, uint64_t v) {
     out->Appendf("STAT %s %" PRIu64 "\r\n", name, v);
   };
-  out->Appendf("STAT version %s\r\n", config_.version.c_str());
+  out->Appendf("STAT version %s\r\n", kServerVersion);
   stat_u("uptime",
          t.start_time >= 0 ? static_cast<uint64_t>(now - t.start_time) : 0);
   stat_u("curr_items", t.curr_items);
@@ -351,8 +343,8 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
   if (start_time_.load(std::memory_order_relaxed) < 0) {
     start_time_.store(now, std::memory_order_relaxed);
   }
-  if (obs_requests_ != nullptr) {
-    obs_requests_->Increment();
+  if (requests_ != nullptr) {
+    requests_->Increment();
   }
   if (telemetry_ != nullptr) {
     telemetry_->OnParsed(OpFor(req.verb),
@@ -375,7 +367,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
     case Verb::kDelete:
     case Verb::kTouch: {
       const bool touch = req.verb == Verb::kTouch;
-      (touch ? cmd_touch_ : cmd_delete_).Increment();
+      (touch ? cmd_touch_ : cmd_delete_)->Increment();
       const std::string_view key = req.keys[0];
       bool found;
       {
@@ -398,11 +390,11 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
       break;
 
     case Verb::kVersion:
-      out->Appendf("VERSION %s\r\n", config_.version.c_str());
+      out->Appendf("VERSION %s\r\n", kServerVersion);
       break;
 
     case Verb::kFlushAll:
-      cmd_flush_.Increment();
+      cmd_flush_->Increment();
       for (uint32_t i = 0; i < store_->count(); ++i) {
         StorePartition& part = store_->at(i);
         std::lock_guard<std::mutex> lock(part.mu);
@@ -424,10 +416,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
 }
 
 void ServerCore::HandleParseError(ParseErrorKind kind, ResponseAssembler* out) {
-  protocol_errors_.Increment();
-  if (obs_protocol_errors_ != nullptr) {
-    obs_protocol_errors_->Increment();
-  }
+  protocol_errors_->Increment();
   out->Append(ErrorReply(kind));
 }
 
@@ -445,15 +434,15 @@ CoreSnapshot ServerCore::Snapshot() const {
 }
 
 void ServerCore::AddCounters(CoreSnapshot* s) const {
-  s->cmd_get += cmd_get_.value();
-  s->cmd_set += cmd_set_.value();
-  s->cmd_touch += cmd_touch_.value();
-  s->cmd_delete += cmd_delete_.value();
-  s->cmd_flush += cmd_flush_.value();
-  s->get_hits += get_hits_.value();
-  s->get_misses += get_misses_.value();
-  s->sheds += sheds_.value();
-  s->protocol_errors += protocol_errors_.value();
+  s->cmd_get += cmd_get_->value();
+  s->cmd_set += cmd_set_->value();
+  s->cmd_touch += cmd_touch_->value();
+  s->cmd_delete += cmd_delete_->value();
+  s->cmd_flush += cmd_flush_->value();
+  s->get_hits += get_hits_->value();
+  s->get_misses += get_misses_->value();
+  s->sheds += sheds_->value();
+  s->protocol_errors += protocol_errors_->value();
   const int64_t start = start_time_.load(std::memory_order_relaxed);
   if (start >= 0 && (s->start_time < 0 || start < s->start_time)) {
     s->start_time = start;

@@ -30,9 +30,12 @@
 // standalone core owns a single-partition one; a reactor of the multi-core
 // server shares the server's N partitions with its peers. Either way every
 // store call locks the key's partition around it and the reply is built after
-// the unlock, so a core never waits on another reactor. Command counters are
-// single-writer atomics: the owning reactor bumps them, and `stats` on any
-// reactor sums every core's.
+// the unlock, so a core never waits on another reactor.
+//
+// Counts: each command count lives in one registry Counter, in the attached
+// Obs or, without one, in the core's own registry. The owning reactor bumps
+// it, `stats` on any reactor sums every core's, and the scrape renders the
+// same Counter (DESIGN.md lists each count's `stats` and scrape names).
 
 #pragma once
 
@@ -61,7 +64,6 @@ namespace spotcache::net {
 
 struct ServerCoreConfig {
   size_t capacity_bytes = 64 * 1024 * 1024;
-  std::string version = "spotcache-1.6.0";
 };
 
 class ServerCore;
@@ -119,24 +121,9 @@ class ServerCore : public RequestHandler {
   /// synchronized; for a core whose server is not serving.
   ItemStore& store() { return store_->at(0).store; }
 
-  uint64_t protocol_errors() const { return protocol_errors_.value(); }
+  uint64_t protocol_errors() const { return protocol_errors_->value(); }
 
  private:
-  /// A counter the owning reactor writes and any reactor's `stats` reads: a
-  /// relaxed load and store, so the hot path pays no locked
-  /// read-modify-write.
-  class OwnedCounter {
-   public:
-    void Increment() {
-      v_.store(v_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-    }
-    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<uint64_t> v_{0};
-  };
-
   /// (outcome, bytes) classification of one handled request, reported to
   /// the telemetry layer by Handle().
   struct Outcome {
@@ -164,7 +151,6 @@ class ServerCore : public RequestHandler {
   /// Adds this core's command counters into `s`.
   void AddCounters(CoreSnapshot* s) const;
 
-  ServerCoreConfig config_;
   std::unique_ptr<PartitionedStore> own_store_;  // null once sharded
   PartitionedStore* store_;
   SpotCacheSystem* system_;
@@ -173,23 +159,19 @@ class ServerCore : public RequestHandler {
   ShardContext shard_;
   std::atomic<int64_t> start_time_{-1};  // first-request time, for uptime
 
-  OwnedCounter cmd_get_;
-  OwnedCounter cmd_set_;
-  OwnedCounter cmd_touch_;
-  OwnedCounter cmd_delete_;
-  OwnedCounter cmd_flush_;
-  OwnedCounter get_hits_;
-  OwnedCounter get_misses_;
-  OwnedCounter sheds_;
-  OwnedCounter protocol_errors_;
-
-  // Fleet counters (resolved once; null when obs is detached).
-  Counter* obs_requests_ = nullptr;
-  Counter* obs_get_hits_ = nullptr;
-  Counter* obs_get_misses_ = nullptr;
-  Counter* obs_sets_ = nullptr;
-  Counter* obs_sheds_ = nullptr;
-  Counter* obs_protocol_errors_ = nullptr;
+  /// The counts' home when no Obs is attached.
+  MetricsRegistry own_registry_;
+  Counter* cmd_get_;  // keys asked for by get/gets
+  Counter* cmd_set_;
+  Counter* cmd_touch_;
+  Counter* cmd_delete_;
+  Counter* cmd_flush_;
+  Counter* get_hits_;
+  Counter* get_misses_;
+  Counter* sheds_;
+  Counter* protocol_errors_;
+  /// Requests handled: scrape-only, so null without an Obs.
+  Counter* requests_ = nullptr;
 };
 
 }  // namespace spotcache::net

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -30,15 +31,23 @@ namespace spotcache {
 /// Sorted-by-key (label, value) pairs; callers may pass them in any order.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
+/// A count with a single writer that any thread may read. Increment is a
+/// relaxed atomic load and store, not a locked read-modify-write, so the
+/// owning thread pays what a plain add costs while a reactor's `stats` sums
+/// its peers' counts. Two threads must never write one Counter unless a
+/// lock they both hold orders the writes.
 class Counter {
  public:
-  void Increment(int64_t n = 1) { value_ += n; }
+  void Increment(int64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   /// For porting pre-aggregated totals (e.g. FaultCounters) onto the registry.
-  void Set(int64_t v) { value_ = v; }
-  int64_t value() const { return value_; }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  int64_t value_ = 0;
+  std::atomic<int64_t> value_{0};
 };
 
 class Gauge {

@@ -53,7 +53,7 @@ int64_t RequestTelemetry::NowMicros() {
 
 RequestTelemetry::RequestTelemetry(const RequestTelemetryConfig& config,
                                    Obs* obs)
-    : config_(config), obs_(obs), sample_state_(config.seed) {
+    : config_(config), obs_(obs) {
   config_.span_sample_every = PowerOfTwoCeil(config.span_sample_every);
   config_.latency_sample_every = PowerOfTwoCeil(config.latency_sample_every);
   span_mask_ =
@@ -65,10 +65,9 @@ RequestTelemetry::RequestTelemetry(const RequestTelemetryConfig& config,
     config_.flight_ring_capacity = 1;
   }
   ring_.resize(config_.flight_ring_capacity);
-  if (obs_ != nullptr) {
-    spans_counter_ = obs_->registry.GetCounter("net/telemetry/spans");
-    slow_counter_ = obs_->registry.GetCounter("net/telemetry/slow_requests");
-  }
+  MetricsRegistry& reg = obs_ != nullptr ? obs_->registry : own_registry_;
+  spans_ = reg.GetCounter("net/telemetry/spans");
+  slow_ = reg.GetCounter("net/telemetry/slow_requests");
 }
 
 Histogram* RequestTelemetry::HistogramFor(TelemetryOp op,
@@ -149,12 +148,9 @@ void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
   const bool slow = config_.slow_request_us > 0 &&
                     current_.total_us > config_.slow_request_us;
   if (slow) {
-    ++slow_requests_;
+    slow_->Increment();
     current_.slow = true;
     dump_pending_ = true;
-    if (slow_counter_ != nullptr) {
-      slow_counter_->Increment();
-    }
   }
   if (mode_ == Mode::kSpan || slow) {
     // Completed spans wait for the batch's write stamp; a slow
@@ -177,34 +173,35 @@ void RequestTelemetry::EndBatch(int64_t write_us) {
 }
 
 void RequestTelemetry::CommitRecord(SpanRecord record) {
-  ++spans_recorded_;
-  if (spans_counter_ != nullptr) {
-    spans_counter_->Increment();
-  }
+  spans_->Increment();
   ring_[ring_next_] = record;
   ring_next_ = (ring_next_ + 1) % ring_.size();
   if (ring_count_ < ring_.size()) {
     ++ring_count_;
   }
   if (obs_ != nullptr && obs_->tracer.enabled()) {
-    obs_->tracer.Custom(
-        SimTime::FromMicros(record.t_start_us), "request_span",
-        {{"conn", EventTracer::JsonNumber(
-                      static_cast<int64_t>(record.conn_id))},
-         {"op", EventTracer::JsonString(ToString(record.op))},
-         {"outcome", EventTracer::JsonString(ToString(record.outcome))},
-         {"full_span", record.full_span ? "true" : "false"},
-         {"slow", record.slow ? "true" : "false"},
-         {"queue_us", EventTracer::JsonNumber(record.queue_us)},
-         {"parse_us", EventTracer::JsonNumber(record.parse_us)},
-         {"route_us", EventTracer::JsonNumber(record.route_us)},
-         {"store_us", EventTracer::JsonNumber(record.store_us)},
-         {"write_us", EventTracer::JsonNumber(record.write_us)},
-         {"total_us", EventTracer::JsonNumber(record.total_us)},
-         {"keys", EventTracer::JsonNumber(static_cast<int64_t>(record.keys))},
-         {"bytes", EventTracer::JsonNumber(
-                       static_cast<int64_t>(record.value_bytes))}});
+    obs_->tracer.Custom(SimTime::FromMicros(record.t_start_us), "request_span",
+                        SpanFields(record));
   }
+}
+
+std::vector<std::pair<std::string, std::string>> RequestTelemetry::SpanFields(
+    const SpanRecord& span) {
+  return {
+      {"conn", EventTracer::JsonNumber(static_cast<int64_t>(span.conn_id))},
+      {"op", EventTracer::JsonString(ToString(span.op))},
+      {"outcome", EventTracer::JsonString(ToString(span.outcome))},
+      {"full_span", span.full_span ? "true" : "false"},
+      {"slow", span.slow ? "true" : "false"},
+      {"queue_us", EventTracer::JsonNumber(span.queue_us)},
+      {"parse_us", EventTracer::JsonNumber(span.parse_us)},
+      {"route_us", EventTracer::JsonNumber(span.route_us)},
+      {"store_us", EventTracer::JsonNumber(span.store_us)},
+      {"write_us", EventTracer::JsonNumber(span.write_us)},
+      {"total_us", EventTracer::JsonNumber(span.total_us)},
+      {"keys", EventTracer::JsonNumber(static_cast<int64_t>(span.keys))},
+      {"bytes",
+       EventTracer::JsonNumber(static_cast<int64_t>(span.value_bytes))}};
 }
 
 std::vector<SpanRecord> RequestTelemetry::RingSnapshot() const {
@@ -221,32 +218,13 @@ std::vector<SpanRecord> RequestTelemetry::RingSnapshot() const {
 std::string RequestTelemetry::RenderSpanJson(const SpanRecord& span) {
   std::string out = "{\"t_us\":";
   out += EventTracer::JsonNumber(span.t_start_us);
-  out += ",\"type\":\"request_span\",\"conn\":";
-  out += EventTracer::JsonNumber(static_cast<int64_t>(span.conn_id));
-  out += ",\"op\":";
-  out += EventTracer::JsonString(ToString(span.op));
-  out += ",\"outcome\":";
-  out += EventTracer::JsonString(ToString(span.outcome));
-  out += ",\"full_span\":";
-  out += span.full_span ? "true" : "false";
-  out += ",\"slow\":";
-  out += span.slow ? "true" : "false";
-  out += ",\"queue_us\":";
-  out += EventTracer::JsonNumber(span.queue_us);
-  out += ",\"parse_us\":";
-  out += EventTracer::JsonNumber(span.parse_us);
-  out += ",\"route_us\":";
-  out += EventTracer::JsonNumber(span.route_us);
-  out += ",\"store_us\":";
-  out += EventTracer::JsonNumber(span.store_us);
-  out += ",\"write_us\":";
-  out += EventTracer::JsonNumber(span.write_us);
-  out += ",\"total_us\":";
-  out += EventTracer::JsonNumber(span.total_us);
-  out += ",\"keys\":";
-  out += EventTracer::JsonNumber(static_cast<int64_t>(span.keys));
-  out += ",\"bytes\":";
-  out += EventTracer::JsonNumber(static_cast<int64_t>(span.value_bytes));
+  out += ",\"type\":\"request_span\"";
+  for (const auto& [name, value] : SpanFields(span)) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+    out += value;
+  }
   out += "}";
   return out;
 }

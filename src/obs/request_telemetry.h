@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -54,8 +55,6 @@ struct RequestTelemetryConfig {
   /// measured from batch arrival to completion) is force-recorded and flags
   /// a flight-recorder dump. <= 0 disables auto-capture.
   int64_t slow_request_us = 50'000;
-  /// Seed for the sampling hash (deterministic per seed).
-  uint64_t seed = 0x5eed'cafe;
 };
 
 /// Coarse op class for the (op, outcome) latency histograms.
@@ -105,7 +104,9 @@ struct SpanRecord {
 class RequestTelemetry {
  public:
   /// `obs` must outlive the telemetry; histograms and counters resolve once
-  /// here. A null obs records spans/ring only (no registry publication).
+  /// here. A null obs records spans/ring only: the span and slow-request
+  /// counts stay in the telemetry's own registry, and no latency histogram
+  /// is kept.
   RequestTelemetry(const RequestTelemetryConfig& config, Obs* obs);
 
   const RequestTelemetryConfig& config() const { return config_; }
@@ -138,7 +139,7 @@ class RequestTelemetry {
   /// unsampled majority pays a hash and a branch, not a function call.
   void BeginRequest() {
     ++requests_seen_;
-    const uint64_t h = Mix(sample_state_ + requests_seen_);
+    const uint64_t h = Mix(kSampleSeed + requests_seen_);
     if (((h & span_mask_) != 0 || config_.span_sample_every == 0) &&
         ((h & latency_mask_) != 0 || config_.latency_sample_every == 0)) {
       mode_ = Mode::kNone;
@@ -185,16 +186,21 @@ class RequestTelemetry {
   // --- Introspection (stats / tests). -----------------------------------
 
   uint64_t requests_seen() const { return requests_seen_; }
-  uint64_t spans_recorded() const { return spans_recorded_; }
+  uint64_t spans_recorded() const { return spans_->value(); }
   uint64_t latencies_recorded() const { return latencies_recorded_; }
-  uint64_t slow_requests() const { return slow_requests_; }
+  uint64_t slow_requests() const { return slow_->value(); }
 
   /// Serializes one span record as a JSONL `request_span` line (no trailing
-  /// newline). Shared by the tracer path, the ring dump, and tests.
+  /// newline): the same object the tracer path emits, from the same field
+  /// list (SpanFields). Shared by the ring dump and tests.
   static std::string RenderSpanJson(const SpanRecord& span);
 
  private:
   enum class Mode : uint8_t { kNone, kLatency, kSpan };
+
+  /// Seed of the sampling hash: the sampled set is a fixed function of the
+  /// request count.
+  static constexpr uint64_t kSampleSeed = 0x5eed'cafe;
 
   /// splitmix64 finalizer: decorrelates the sampling decision from the
   /// request counter so fixed batch layouts cannot alias the lattice.
@@ -211,6 +217,9 @@ class RequestTelemetry {
   void OnExecutedSampled(RequestOutcome outcome, uint32_t value_bytes);
 
   void CommitRecord(SpanRecord record);
+  /// The `request_span` fields after `t_us` and `type`, as JSON fragments.
+  static std::vector<std::pair<std::string, std::string>> SpanFields(
+      const SpanRecord& span);
   Histogram* HistogramFor(TelemetryOp op, RequestOutcome outcome);
 
   static constexpr size_t kNumOps = 5;
@@ -220,7 +229,6 @@ class RequestTelemetry {
   Obs* obs_;
   uint32_t span_mask_ = 0;     // sample when (hash & mask) == 0
   uint32_t latency_mask_ = 0;  // ditto (span-sampled implies latency)
-  uint64_t sample_state_;
   int64_t origin_us_ = 0;
 
   // Batch state.
@@ -242,14 +250,14 @@ class RequestTelemetry {
   bool dump_pending_ = false;
 
   uint64_t requests_seen_ = 0;
-  uint64_t spans_recorded_ = 0;
   uint64_t latencies_recorded_ = 0;
-  uint64_t slow_requests_ = 0;
 
   // Lazily resolved per-(op, outcome) latency histograms (seconds).
   Histogram* hists_[kNumOps][kNumOutcomes] = {};
-  Counter* spans_counter_ = nullptr;
-  Counter* slow_counter_ = nullptr;
+  /// The span and slow-request counts' home when no Obs is attached.
+  MetricsRegistry own_registry_;
+  Counter* spans_;  // net/telemetry/spans
+  Counter* slow_;   // net/telemetry/slow_requests
 };
 
 }  // namespace spotcache

@@ -7,7 +7,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/routing/hash.h"
+
 namespace spotcache::proxy {
+
+std::optional<uint64_t> SlotRing::OwnerOf(std::string_view key) const {
+  return ring_.NodeFor(HashString(key));
+}
 
 namespace {
 

@@ -28,9 +28,27 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/routing/consistent_hash.h"
+
 namespace spotcache::proxy {
+
+/// Where the fleet homes a key: a consistent-hash ring of the membership's
+/// slots, weight 1.0 each, looked up by HashString of the key. Dead slots
+/// stay on it (their keys degrade, they do not rehash). UpstreamPool routes by
+/// it and fleet::MembershipPublisher mirrors it, so both name one owner.
+class SlotRing {
+ public:
+  void Add(uint64_t slot) { ring_.SetNode(slot, 1.0); }
+  void Remove(uint64_t slot) { ring_.RemoveNode(slot); }
+  /// nullopt on an empty ring.
+  std::optional<uint64_t> OwnerOf(std::string_view key) const;
+
+ private:
+  ConsistentHashRing ring_;
+};
 
 struct MemberNode {
   uint64_t slot = 0;

@@ -48,33 +48,39 @@ RequestOutcome Worse(RequestOutcome a, RequestOutcome b) {
 
 ProxyCore::ProxyCore(const ProxyCoreConfig& config, Obs* obs,
                      EventTracer* tracer)
-    : config_(config), pool_(config.upstreams, tracer) {
-  if (obs != nullptr) {
-    obs_requests_ = obs->registry.GetCounter("proxy/requests");
-    obs_get_hits_ = obs->registry.GetCounter("proxy/get_hits");
-    obs_backup_hits_ = obs->registry.GetCounter("proxy/backup_hits");
-    obs_misses_ = obs->registry.GetCounter("proxy/get_misses");
-    obs_sheds_ = obs->registry.GetCounter("proxy/sheds");
-    obs_sets_ = obs->registry.GetCounter("proxy/sets");
-    obs_absorbed_ = obs->registry.GetCounter("proxy/absorbed_failures");
-    obs_reconnects_ = obs->registry.GetCounter("proxy/reconnects");
-    obs_reloads_ = obs->registry.GetCounter("proxy/reloads");
-    obs_protocol_errors_ = obs->registry.GetCounter("proxy/protocol_errors");
-  }
+    : registry_(obs != nullptr ? &obs->registry : &own_registry_),
+      pool_(config.upstreams, tracer, registry_) {
+  const auto counter = [this](const char* name) {
+    return registry_->GetCounter(std::string("proxy/") + name);
+  };
+  requests_ = counter("requests");
+  gets_ = counter("gets");
+  get_keys_ = counter("get_keys");
+  get_hits_ = counter("get_hits");
+  backup_hits_ = counter("backup_hits");
+  get_misses_ = counter("get_misses");
+  sheds_ = counter("sheds");
+  sets_ = counter("sets");
+  set_primary_ = counter("set_primary");
+  set_backup_ = counter("set_backup");
+  set_failures_ = counter("set_failures");
+  deletes_ = counter("deletes");
+  touches_ = counter("touches");
+  flushes_ = counter("flushes");
+  reloads_ = counter("reloads");
+  reload_failures_ = counter("reload_failures");
+  protocol_errors_ = counter("protocol_errors");
 }
 
 bool ProxyCore::ReloadMembership(const std::string& path) {
   std::string error;
   const auto m = LoadMembership(path, &error);
   if (!m.has_value()) {
-    ++stats_.reload_failures;
+    reload_failures_->Increment();
     return false;
   }
   pool_.ApplyMembership(*m);
-  ++stats_.reloads;
-  if (obs_reloads_ != nullptr) {
-    obs_reloads_->Increment();
-  }
+  reloads_->Increment();
   return true;
 }
 
@@ -87,8 +93,8 @@ bool ProxyCore::Prepare(const net::TextRequest& req, Request* r) {
   switch (req.verb) {
     case net::Verb::kGet:
     case net::Verb::kGets:
-      ++stats_.gets;
-      stats_.get_keys += req.keys.size();
+      gets_->Increment();
+      get_keys_->Increment(static_cast<int64_t>(req.keys.size()));
       r->SetGet(std::vector<std::string>(req.keys.begin(), req.keys.end()),
                 req.verb == net::Verb::kGets);
       break;
@@ -98,14 +104,11 @@ bool ProxyCore::Prepare(const net::TextRequest& req, Request* r) {
     case net::Verb::kDelete:
     case net::Verb::kTouch:
       if (req.verb == net::Verb::kDelete) {
-        ++stats_.deletes;
+        deletes_->Increment();
       } else if (req.verb == net::Verb::kTouch) {
-        ++stats_.touches;
+        touches_->Increment();
       } else {
-        ++stats_.sets;
-        if (obs_sets_ != nullptr) {
-          obs_sets_->Increment();
-        }
+        sets_->Increment();
       }
       // Forwarded WITHOUT noreply, and the status line is awaited even when
       // the client asked for silence: the upstream round trip keeps cas
@@ -113,7 +116,7 @@ bool ProxyCore::Prepare(const net::TextRequest& req, Request* r) {
       r->SetLine(std::string(req.keys[0]), RebuildWire(req));
       break;
     case net::Verb::kFlushAll:
-      ++stats_.flushes;
+      flushes_->Increment();
       r->SetFlush(req.delay_s);
       break;
     case net::Verb::kStats:
@@ -164,29 +167,17 @@ RequestOutcome ProxyCore::RenderRetrieve(const Request& r,
       out->Append("\r\n");
       *value_bytes += static_cast<uint32_t>(fetch.data.size());
       if (fetch.rung == ServedRung::kBackup) {
-        ++stats_.backup_hits;
-        if (obs_backup_hits_ != nullptr) {
-          obs_backup_hits_->Increment();
-        }
+        backup_hits_->Increment();
         outcome = Worse(outcome, RequestOutcome::kBackup);
       } else {
-        ++stats_.get_hits;
-        if (obs_get_hits_ != nullptr) {
-          obs_get_hits_->Increment();
-        }
+        get_hits_->Increment();
       }
     } else if (fetch.rung == ServedRung::kNone) {
       // Nothing reachable: absorbed as a shed, reported as a plain miss.
-      ++stats_.sheds;
-      if (obs_sheds_ != nullptr) {
-        obs_sheds_->Increment();
-      }
+      sheds_->Increment();
       outcome = Worse(outcome, RequestOutcome::kShed);
     } else {
-      ++stats_.misses;
-      if (obs_misses_ != nullptr) {
-        obs_misses_->Increment();
-      }
+      get_misses_->Increment();
       outcome = Worse(outcome, RequestOutcome::kMiss);
     }
   }
@@ -234,11 +225,8 @@ RequestOutcome ProxyCore::RenderForwarded(const Request& r,
   if (result.line.has_value()) {
     RequestOutcome outcome;
     if (storage) {
-      if (result.rung == ServedRung::kBackup) {
-        ++stats_.set_backup;
-      } else {
-        ++stats_.set_primary;
-      }
+      (result.rung == ServedRung::kBackup ? set_backup_ : set_primary_)
+          ->Increment();
       outcome = *result.line == "STORED" ? RequestOutcome::kStored
                                          : RequestOutcome::kNotStored;
       if (result.rung == ServedRung::kBackup) {
@@ -257,12 +245,10 @@ RequestOutcome ProxyCore::RenderForwarded(const Request& r,
   }
 
   // No rung reachable. Never lie about a write landing: surface a
-  // SERVER_ERROR (suppressed under noreply, like every status reply).
+  // SERVER_ERROR (suppressed under noreply, like every status reply). The
+  // pool counted the leg under proxy/unreachable.
   if (storage) {
-    ++stats_.set_failures;
-  }
-  if (obs_sheds_ != nullptr) {
-    obs_sheds_->Increment();
+    set_failures_->Increment();
   }
   if (!r.noreply) {
     out->Append("SERVER_ERROR proxy upstream unavailable\r\n");
@@ -273,34 +259,23 @@ RequestOutcome ProxyCore::RenderForwarded(const Request& r,
 void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   // The proxy's own deterministic stats block: pure functions of the
   // request history (no clocks, no uptime), so chunking-invariance holds
-  // through the fuzz harness.
-  const UpstreamPoolStats& ps = pool_.stats();
-  out->Appendf("STAT version %s\r\n", config_.version.c_str());
-  out->Appendf("STAT proxy_gets %" PRIu64 "\r\n", stats_.gets);
-  out->Appendf("STAT proxy_get_keys %" PRIu64 "\r\n", stats_.get_keys);
-  out->Appendf("STAT proxy_get_hits %" PRIu64 "\r\n", stats_.get_hits);
-  out->Appendf("STAT proxy_backup_hits %" PRIu64 "\r\n", stats_.backup_hits);
-  out->Appendf("STAT proxy_get_misses %" PRIu64 "\r\n", stats_.misses);
-  out->Appendf("STAT proxy_sheds %" PRIu64 "\r\n", stats_.sheds);
-  out->Appendf("STAT proxy_sets %" PRIu64 "\r\n", stats_.sets);
-  out->Appendf("STAT proxy_set_primary %" PRIu64 "\r\n", stats_.set_primary);
-  out->Appendf("STAT proxy_set_backup %" PRIu64 "\r\n", stats_.set_backup);
-  out->Appendf("STAT proxy_set_failures %" PRIu64 "\r\n",
-               stats_.set_failures);
-  out->Appendf("STAT proxy_deletes %" PRIu64 "\r\n", stats_.deletes);
-  out->Appendf("STAT proxy_touches %" PRIu64 "\r\n", stats_.touches);
-  out->Appendf("STAT proxy_flushes %" PRIu64 "\r\n", stats_.flushes);
-  out->Appendf("STAT proxy_absorbed_failures %" PRIu64 "\r\n",
-               ps.absorbed_failures);
-  out->Appendf("STAT proxy_reconnects %" PRIu64 "\r\n", ps.reconnects);
-  out->Appendf("STAT proxy_breaker_skips %" PRIu64 "\r\n", ps.breaker_skips);
-  out->Appendf("STAT proxy_backup_served %" PRIu64 "\r\n", ps.backup_served);
-  out->Appendf("STAT proxy_unreachable %" PRIu64 "\r\n", ps.unreachable);
+  // through the fuzz harness. Line proxy_X reads counter proxy/X.
+  const auto stat = [this, out](const char* name) {
+    out->Appendf("STAT proxy_%s %" PRId64 "\r\n", name,
+                 registry_->CounterValue(std::string("proxy/") + name));
+  };
+  out->Appendf("STAT version %s\r\n", net::kServerVersion);
+  for (const char* name :
+       {"gets", "get_keys", "get_hits", "backup_hits", "get_misses", "sheds",
+        "sets", "set_primary", "set_backup", "set_failures", "deletes",
+        "touches", "flushes", "absorbed_failures", "reconnects",
+        "breaker_skips", "backup_served", "unreachable"}) {
+    stat(name);
+  }
   out->Appendf("STAT proxy_nodes %zu\r\n", pool_.node_count());
   out->Appendf("STAT proxy_generation %" PRIu64 "\r\n", pool_.generation());
-  out->Appendf("STAT proxy_reloads %" PRIu64 "\r\n", stats_.reloads);
-  out->Appendf("STAT proxy_protocol_errors %" PRIu64 "\r\n",
-               stats_.protocol_errors);
+  stat("reloads");
+  stat("protocol_errors");
   out->Append("END\r\n");
 }
 
@@ -311,7 +286,7 @@ bool ProxyCore::AnswerLocally(const net::TextRequest& req,
       AppendStats(out);
       return true;
     case net::Verb::kVersion:
-      out->Appendf("VERSION %s\r\n", config_.version.c_str());
+      out->Appendf("VERSION %s\r\n", net::kServerVersion);
       return true;
     default:
       return false;  // quit
@@ -319,10 +294,7 @@ bool ProxyCore::AnswerLocally(const net::TextRequest& req,
 }
 
 void ProxyCore::BeginRequest(const net::TextRequest& req) {
-  ++stats_.requests;
-  if (obs_requests_ != nullptr) {
-    obs_requests_->Increment();
-  }
+  requests_->Increment();
   if (telemetry_ != nullptr) {
     telemetry_->OnParsed(OpFor(req.verb),
                          static_cast<uint32_t>(req.keys.size()));
@@ -330,24 +302,9 @@ void ProxyCore::BeginRequest(const net::TextRequest& req) {
 }
 
 void ProxyCore::EndRequest(RequestOutcome outcome, uint32_t value_bytes) {
-  MirrorPoolCounters();
   if (telemetry_ != nullptr) {
     telemetry_->OnExecuted(outcome, value_bytes);
   }
-}
-
-void ProxyCore::MirrorPoolCounters() {
-  const UpstreamPoolStats& ps = pool_.stats();
-  if (obs_absorbed_ != nullptr) {
-    obs_absorbed_->Increment(
-        static_cast<int64_t>(ps.absorbed_failures - mirrored_absorbed_));
-  }
-  if (obs_reconnects_ != nullptr) {
-    obs_reconnects_->Increment(
-        static_cast<int64_t>(ps.reconnects - mirrored_reconnects_));
-  }
-  mirrored_absorbed_ = ps.absorbed_failures;
-  mirrored_reconnects_ = ps.reconnects;
 }
 
 bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
@@ -413,7 +370,6 @@ void ProxyCore::OnOpDone(UpstreamOp* op) {
   Render(r, &reply_, &value_bytes);
   Deliver(r.ticket);
   r.answered = true;
-  MirrorPoolCounters();
   while (!parked_.empty()) {
     Request& front = parked_.front();
     if (!front.answered) {
@@ -429,10 +385,7 @@ void ProxyCore::OnOpDone(UpstreamOp* op) {
 
 void ProxyCore::HandleParseError(net::ParseErrorKind kind,
                                  net::ResponseAssembler* out) {
-  ++stats_.protocol_errors;
-  if (obs_protocol_errors_ != nullptr) {
-    obs_protocol_errors_->Increment();
-  }
+  protocol_errors_->Increment();
   out->Append(net::ErrorReply(kind));
 }
 

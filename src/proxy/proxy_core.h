@@ -33,7 +33,12 @@
 // sends nothing newer meanwhile, so the block counts exactly the requests
 // before it. Handle(), the synchronous entry (a wrapping RequestHandler that
 // does not forward AttachLoop), runs the same op to completion on the pool's
-// own sockets. Counters land in the obs registry under proxy/*.
+// own sockets.
+//
+// Counts: every count lives in one registry Counter under proxy/* — the
+// Obs's registry, or the core's own without one — and the pool counts its
+// failures into the same registry. The `stats` block and the scrape both
+// render those counters; `stats` line proxy_X is series proxy/X.
 
 #pragma once
 
@@ -49,30 +54,7 @@
 namespace spotcache::proxy {
 
 struct ProxyCoreConfig {
-  std::string version = "spotcache-1.6.0";
   UpstreamPoolConfig upstreams;
-};
-
-/// Monotonic request counters, mirrored into proxy/* obs counters when an
-/// Obs is attached. All loop-thread-only.
-struct ProxyStats {
-  uint64_t requests = 0;
-  uint64_t gets = 0;        // get/gets commands
-  uint64_t get_keys = 0;    // keys across those commands
-  uint64_t get_hits = 0;    // keys served by their owning primary
-  uint64_t backup_hits = 0; // keys served by the backup rung
-  uint64_t misses = 0;      // keys a live rung definitively missed
-  uint64_t sheds = 0;       // keys no rung could serve (reported as misses)
-  uint64_t sets = 0;        // set/add/replace commands
-  uint64_t set_primary = 0;
-  uint64_t set_backup = 0;
-  uint64_t set_failures = 0;  // SERVER_ERROR relayed: no rung reachable
-  uint64_t deletes = 0;
-  uint64_t touches = 0;
-  uint64_t flushes = 0;
-  uint64_t reloads = 0;
-  uint64_t reload_failures = 0;
-  uint64_t protocol_errors = 0;
 };
 
 class ProxyCore final : public net::RequestHandler, private OpListener {
@@ -100,7 +82,9 @@ class ProxyCore final : public net::RequestHandler, private OpListener {
 
   UpstreamPool& pool() { return pool_; }
   const UpstreamPool& pool() const { return pool_; }
-  const ProxyStats& stats() const { return stats_; }
+  /// Where the proxy/* counts live (the attached Obs's registry, or the
+  /// core's own).
+  const MetricsRegistry& registry() const { return *registry_; }
 
  private:
   /// One request's upstream op plus what its reply needs.
@@ -132,35 +116,40 @@ class ProxyCore final : public net::RequestHandler, private OpListener {
   /// the front of parked_, answering stats barriers that reach it.
   void OnOpDone(UpstreamOp* op) override;
   void Deliver(const net::ReplyTicket& ticket);
-  /// Adds the pool's failure counters' growth to the obs registry.
-  void MirrorPoolCounters();
   void BeginRequest(const net::TextRequest& req);
   void EndRequest(RequestOutcome outcome, uint32_t value_bytes);
 
-  ProxyCoreConfig config_;
+  /// The counts' home when no Obs is attached. Declared before pool_, which
+  /// counts into it.
+  MetricsRegistry own_registry_;
+  MetricsRegistry* registry_;
   UpstreamPool pool_;
   net::EventLoop* loop_ = nullptr;
   RequestTelemetry* telemetry_ = nullptr;
-  ProxyStats stats_;
 
   /// Parked requests, oldest first (stable addresses: the pool points at
   /// them until they finish).
   std::deque<Request> parked_;
   net::ResponseAssembler reply_;  // a parked reply being rendered
-  uint64_t mirrored_absorbed_ = 0;
-  uint64_t mirrored_reconnects_ = 0;
 
-  // proxy/* obs counters (null when obs is detached).
-  Counter* obs_requests_ = nullptr;
-  Counter* obs_get_hits_ = nullptr;
-  Counter* obs_backup_hits_ = nullptr;
-  Counter* obs_misses_ = nullptr;
-  Counter* obs_sheds_ = nullptr;
-  Counter* obs_sets_ = nullptr;
-  Counter* obs_absorbed_ = nullptr;
-  Counter* obs_reconnects_ = nullptr;
-  Counter* obs_reloads_ = nullptr;
-  Counter* obs_protocol_errors_ = nullptr;
+  // proxy/* counters, all written on the loop thread.
+  Counter* requests_;
+  Counter* gets_;         // get/gets commands
+  Counter* get_keys_;     // keys across those commands
+  Counter* get_hits_;     // keys served by their owning primary
+  Counter* backup_hits_;  // keys served by the backup rung
+  Counter* get_misses_;   // keys a live rung definitively missed
+  Counter* sheds_;        // get keys no rung could serve (reported as misses)
+  Counter* sets_;         // set/add/replace commands
+  Counter* set_primary_;
+  Counter* set_backup_;
+  Counter* set_failures_;  // SERVER_ERROR relayed: no rung reachable
+  Counter* deletes_;
+  Counter* touches_;
+  Counter* flushes_;
+  Counter* reloads_;
+  Counter* reload_failures_;
+  Counter* protocol_errors_;
 };
 
 }  // namespace spotcache::proxy

@@ -13,13 +13,13 @@
 #include <chrono>
 #include <climits>
 
-#include "src/routing/hash.h"
-
 namespace spotcache::proxy {
 
 namespace {
 
 constexpr uint64_t kBackupSlot = ~0ULL;
+/// Seed of the breakers' probe jitter (each breaker also mixes in its slot).
+constexpr uint64_t kBreakerSeed = 0;
 constexpr size_t kReadChunk = 64 * 1024;
 
 int64_t WallUs() {
@@ -65,8 +65,23 @@ void UpstreamOp::SetFlush(int64_t delay_s) {
 }
 
 UpstreamPool::UpstreamPool(const UpstreamPoolConfig& config,
-                           EventTracer* tracer)
-    : config_(config), tracer_(tracer), epoch_us_(WallUs()) {}
+                           EventTracer* tracer, MetricsRegistry* registry)
+    : config_(config), tracer_(tracer), epoch_us_(WallUs()) {
+  MetricsRegistry& reg = registry != nullptr ? *registry : own_registry_;
+  absorbed_failures_ = reg.GetCounter("proxy/absorbed_failures");
+  reconnects_ = reg.GetCounter("proxy/reconnects");
+  breaker_skips_ = reg.GetCounter("proxy/breaker_skips");
+  backup_served_ = reg.GetCounter("proxy/backup_served");
+  unreachable_ = reg.GetCounter("proxy/unreachable");
+}
+
+UpstreamPoolStats UpstreamPool::stats() const {
+  return {static_cast<uint64_t>(absorbed_failures_->value()),
+          static_cast<uint64_t>(reconnects_->value()),
+          static_cast<uint64_t>(breaker_skips_->value()),
+          static_cast<uint64_t>(backup_served_->value()),
+          static_cast<uint64_t>(unreachable_->value())};
+}
 
 UpstreamPool::~UpstreamPool() {
   // The loop may already be gone: close without deregistering (closing an
@@ -122,8 +137,8 @@ void UpstreamPool::SetNode(uint64_t slot, const std::string& host,
   node.redial = false;
   // A replacement is a fresh process: it earns a fresh breaker.
   node.breaker =
-      std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
-  ring_.SetNode(slot, 1.0);
+      std::make_unique<CircuitBreaker>(config_.breaker, kBreakerSeed, slot);
+  ring_.Add(slot);
 }
 
 void UpstreamPool::SetBackup(const std::string& host, uint16_t port) {
@@ -139,7 +154,7 @@ void UpstreamPool::SetBackup(const std::string& host, uint16_t port) {
   backup_->port = port;
   // Slot id ~0 keeps the backup's breaker jitter decorrelated from primaries.
   backup_->breaker = std::make_unique<CircuitBreaker>(
-      config_.breaker, config_.seed, kBackupSlot);
+      config_.breaker, kBreakerSeed, kBackupSlot);
 }
 
 void UpstreamPool::MarkDead(uint64_t slot) {
@@ -150,9 +165,9 @@ void UpstreamPool::MarkDead(uint64_t slot) {
     Node& node = nodes_[slot];
     node.slot = slot;
     node.breaker =
-        std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
+        std::make_unique<CircuitBreaker>(config_.breaker, kBreakerSeed, slot);
     node.dead = true;
-    ring_.SetNode(slot, 1.0);
+    ring_.Add(slot);
     return;
   }
   Node& node = it->second;
@@ -173,7 +188,7 @@ void UpstreamPool::RemoveNode(uint64_t slot) {
   }
   ResetNode(it->second);
   nodes_.erase(it);
-  ring_.RemoveNode(slot);
+  ring_.Remove(slot);
 }
 
 void UpstreamPool::ApplyMembership(const FleetMembership& m) {
@@ -211,7 +226,7 @@ void UpstreamPool::ApplyMembership(const FleetMembership& m) {
 }
 
 std::optional<uint64_t> UpstreamPool::OwnerOf(std::string_view key) const {
-  return ring_.NodeFor(HashString(key));
+  return ring_.OwnerOf(key);
 }
 
 void UpstreamPool::AttachLoop(net::EventLoop* loop) {
@@ -249,7 +264,7 @@ void UpstreamPool::Start(UpstreamOp* op, OpListener* listener) {
       std::vector<std::pair<uint64_t, Node*>> decided;
       for (size_t i = 0; i < op->keys_.size(); ++i) {
         ++op->legs_left_;
-        const auto owner = ring_.NodeFor(HashString(op->keys_[i]));
+        const auto owner = ring_.OwnerOf(op->keys_[i]);
         if (!owner.has_value()) {
           ToBackup(op, static_cast<uint32_t>(i));
           continue;
@@ -263,7 +278,7 @@ void UpstreamPool::Start(UpstreamOp* op, OpListener* listener) {
           const bool open =
               node != nullptr && !node->dead && node->breaker->Allow(now);
           if (node != nullptr && !open) {
-            ++stats_.breaker_skips;
+            breaker_skips_->Increment();
           }
           seen = decided.emplace(decided.end(), *owner,
                                  open ? node : nullptr);
@@ -279,14 +294,14 @@ void UpstreamPool::Start(UpstreamOp* op, OpListener* listener) {
     }
     case UpstreamOp::Kind::kLine: {
       ++op->legs_left_;
-      const auto owner = ring_.NodeFor(HashString(op->keys_[0]));
+      const auto owner = ring_.OwnerOf(op->keys_[0]);
       auto it = owner.has_value() ? nodes_.find(*owner) : nodes_.end();
       if (it != nodes_.end() && !it->second.dead &&
           it->second.breaker->Allow(now)) {
         Enqueue(it->second, Leg{op, 0, ServedRung::kPrimary, 0});
       } else {
         if (it != nodes_.end()) {
-          ++stats_.breaker_skips;
+          breaker_skips_->Increment();
         }
         // Degraded leg: land the command on the backup so warm-up (and
         // backup fall-through reads) see fresh data.
@@ -323,7 +338,7 @@ void UpstreamPool::ToBackup(UpstreamOp* op, uint32_t index) {
 void UpstreamPool::ResolveUnreachable(UpstreamOp* op) {
   // The op's result stays at its zero state: a miss on the kNone rung for a
   // get (absorbed, never an error), no line for a write.
-  ++stats_.unreachable;
+  unreachable_->Increment();
   ++op->unreachable_;
   LegDone(op);
 }
@@ -384,7 +399,7 @@ bool UpstreamPool::Deliver(Node& node, const net::ReplyReader::Reply& reply) {
   }
   if (leg.rung == ServedRung::kBackup &&
       op->kind_ != UpstreamOp::Kind::kFlush) {
-    ++stats_.backup_served;
+    backup_served_->Increment();
   }
   node.inflight.pop_front();
   LegDone(op);
@@ -467,7 +482,7 @@ void UpstreamPool::Connect(Node& node, int64_t now_us) {
 void UpstreamPool::MarkUp(Node& node) {
   node.state = LinkState::kUp;
   if (node.redial) {
-    ++stats_.reconnects;
+    reconnects_->Increment();
     node.redial = false;
   }
 }
@@ -604,7 +619,7 @@ void UpstreamPool::FailNode(Node& node) {
   const SimTime now = Now();
   const BreakerState before = node.breaker->state(now);
   node.breaker->RecordFailure(now);
-  ++stats_.absorbed_failures;
+  absorbed_failures_->Increment();
   TraceBreaker(node.slot, before, node.breaker->state(now));
   ResetNode(node);
   node.redial = true;

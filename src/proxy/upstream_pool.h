@@ -2,8 +2,8 @@
 //
 // This is the one router on the wire: it owns ring placement, the breakers
 // and the degradation ladder. Keys are homed on consistent-hash slots
-// (HashString on the key, weight 1.0 per slot; MembershipPublisher mirrors
-// the same ring to pick warm-up keys), and each slot is fronted by a
+// (SlotRing, membership.h; MembershipPublisher mirrors the same ring to pick
+// warm-up keys), and each slot is fronted by a
 // src/resilience CircuitBreaker. The absorption contract: no transport
 // failure ever surfaces to the proxy's client — gets degrade primary →
 // backup → miss, writes degrade primary → backup → unavailable, and a
@@ -59,10 +59,10 @@
 
 #include "src/net/event_loop.h"
 #include "src/net/reply_reader.h"
+#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/proxy/membership.h"
 #include "src/resilience/circuit_breaker.h"
-#include "src/routing/consistent_hash.h"
 #include "src/util/time.h"
 
 namespace spotcache::proxy {
@@ -81,7 +81,6 @@ struct UpstreamPoolConfig {
   int op_timeout_ms = 250;
   /// Per-upstream bound on commands in flight (sent, reply not yet read).
   int window = 32;
-  uint64_t seed = 0;
 };
 
 /// Which rung of the degradation ladder served one key (or one write).
@@ -108,6 +107,8 @@ struct ForwardResult {
   ServedRung rung = ServedRung::kNone;
 };
 
+/// A by-value view of the pool's counts (the counters themselves live in a
+/// registry under proxy/*).
 struct UpstreamPoolStats {
   uint64_t absorbed_failures = 0;  // transport failures hidden by degradation
   uint64_t reconnects = 0;         // successful redials after a failure
@@ -168,8 +169,11 @@ class UpstreamOp {
 
 class UpstreamPool final : public net::LoopClient {
  public:
+  /// Counts land in `registry` under proxy/* (the pool's own registry when
+  /// null); it must outlive the pool.
   explicit UpstreamPool(const UpstreamPoolConfig& config,
-                        EventTracer* tracer = nullptr);
+                        EventTracer* tracer = nullptr,
+                        MetricsRegistry* registry = nullptr);
   ~UpstreamPool() override;
 
   UpstreamPool(const UpstreamPool&) = delete;
@@ -222,7 +226,7 @@ class UpstreamPool final : public net::LoopClient {
   void Tick(int64_t now_us) override;
   int64_t NextDeadlineUs() const override;
 
-  const UpstreamPoolStats& stats() const { return stats_; }
+  UpstreamPoolStats stats() const;
   uint64_t generation() const { return generation_; }
   size_t node_count() const { return nodes_.size(); }
   bool has_backup() const { return backup_ != nullptr; }
@@ -303,10 +307,16 @@ class UpstreamPool final : public net::LoopClient {
   EventTracer* tracer_;
   net::EventLoop* loop_ = nullptr;
 
-  ConsistentHashRing ring_;
+  SlotRing ring_;
   std::map<uint64_t, Node> nodes_;
   std::unique_ptr<Node> backup_;
-  UpstreamPoolStats stats_;
+  /// The counts' home when no registry was given.
+  MetricsRegistry own_registry_;
+  Counter* absorbed_failures_;
+  Counter* reconnects_;
+  Counter* breaker_skips_;
+  Counter* backup_served_;
+  Counter* unreachable_;
   uint64_t generation_ = 0;
   /// Wall anchor for the breakers' SimTime clock (proxy-relative micros).
   int64_t epoch_us_ = 0;

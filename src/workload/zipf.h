@@ -51,7 +51,9 @@ class ZipfPopularity {
   std::vector<double> grid_sums_;
 };
 
-/// YCSB-style Zipfian sampler (Gray et al. rejection-free method).
+/// YCSB-style Zipfian sampler (Gray et al. closed form): one uniform draw,
+/// two comparisons and one pow() per sample, no rejection loop. The form
+/// breaks down at theta == 1, so theta within 1e-6 of 1 is nudged 1e-6 away.
 class ZipfianGenerator {
  public:
   ZipfianGenerator(uint64_t num_keys, double theta);
@@ -67,7 +69,7 @@ class ZipfianGenerator {
   double zetan_;
   double alpha_;
   double eta_;
-  double zeta2_;
+  double threshold_;  // 1 + 0.5^theta: below it (times 1/zetan), rank 1
 };
 
 }  // namespace spotcache

@@ -491,8 +491,10 @@ ProxyRunResult RunThroughProxyStack(std::string_view stream,
   upstream.Stop();
   up_loop.join();
 
-  result.requests = core.stats().requests;
-  result.protocol_errors = core.stats().protocol_errors;
+  result.requests = static_cast<uint64_t>(
+      core.registry().CounterValue("proxy/requests"));
+  result.protocol_errors = static_cast<uint64_t>(
+      core.registry().CounterValue("proxy/protocol_errors"));
   result.absorbed = core.pool().stats().absorbed_failures;
   return result;
 }
