@@ -23,8 +23,8 @@
 //
 // Against a sharded server (`spotcache_server --threads=N`), pass
 // --server-shards=N: --connections is rounded up to a multiple of N so the
-// kernel's SO_REUSEPORT hash has a fair chance of spreading the fleet across
-// reactors. Each connection is probed with one `stats spotcache` round-trip
+// server's round-robin accept gives every reactor the same number of
+// connections. Each connection is probed with one `stats spotcache` round-trip
 // before the measured window, and the JSON report gains a
 // "shard_distribution" block (connections per shard + per-connection shard).
 // --no-probe-shards skips the probe.
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   }
 
   if (server_shards > 1) {
-    // Keep the fleet a multiple of the server's shard count so an even
-    // SO_REUSEPORT spread gives every reactor the same offered load.
+    // Keep the fleet a multiple of the server's shard count so round-robin
+    // accept gives every reactor the same offered load.
     const int rem = config.connections % server_shards;
     if (rem != 0) {
       const int rounded = config.connections + (server_shards - rem);

@@ -36,7 +36,6 @@
 //   --span-sample=N    span-sample every ~Nth request (default 256)
 //   --latency-sample=N latency-sample every ~Nth request (default 16)
 //   --slow-us=N        auto-capture threshold in microseconds
-//   --stall-us=N       event-loop stall threshold in microseconds
 //   --span-ring=N      flight-recorder capacity in spans
 //   --pidfile=FILE     write pid after a successful bind
 //
@@ -96,7 +95,7 @@ int Usage(int exit_code) {
       "                       [--metrics=FILE] [--metrics-port=N]\n"
       "                       [--spans=FILE] [--span-sample=N]\n"
       "                       [--latency-sample=N] [--slow-us=N]\n"
-      "                       [--stall-us=N] [--span-ring=N]\n"
+      "                       [--span-ring=N]\n"
       "                       [--pidfile=FILE] [--help]\n"
       "\n"
       "Speaks memcached text to clients and fans out to the fleet named by\n"
@@ -201,8 +200,6 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(std::atoll(arg.c_str() + 17));
     } else if (arg.rfind("--slow-us=", 0) == 0) {
       config.telemetry.slow_request_us = std::atoll(arg.c_str() + 10);
-    } else if (arg.rfind("--stall-us=", 0) == 0) {
-      config.stall_threshold_us = std::atoll(arg.c_str() + 11);
     } else if (arg.rfind("--span-ring=", 0) == 0) {
       config.telemetry.flight_ring_capacity =
           static_cast<uint32_t>(std::atoll(arg.c_str() + 12));

@@ -1,10 +1,9 @@
 // spotcache_server: a real memcached-text-protocol server over src/net.
 //
 //   spotcache_server [--port=11211] [--host=127.0.0.1] [--capacity-mb=64]
-//                    [--threads=N] [--pin] [--force-dispatch]
-//                    [--system] [--resilience] [--trace=F] [--metrics=F]
-//                    [--metrics-port=N] [--spans=F] [--span-sample=N]
-//                    [--latency-sample=N] [--slow-us=N] [--stall-us=N]
+//                    [--threads=N] [--system] [--resilience] [--trace=F]
+//                    [--metrics=F] [--metrics-port=N] [--spans=F]
+//                    [--span-sample=N] [--latency-sample=N] [--slow-us=N]
 //                    [--span-ring=N]
 //
 //   $ ./spotcache_server --port=11211 &
@@ -22,10 +21,10 @@
 //   --capacity-mb=N    item-store LRU capacity (total; split across shards)
 //   --threads=N        reactor shards (default 1: one epoll loop on the
 //                      main thread; N > 1 serves from N epoll loops over N
-//                      lock-striped store partitions)
-//   --pin              pin shard i to cpu (i % cores)
-//   --force-dispatch   use the accept-and-handoff fallback instead of
-//                      SO_REUSEPORT (testing / kernels without REUSEPORT)
+//                      lock-striped store partitions, shard 0 accepting
+//                      every connection and dealing them round-robin)
+//   --force-dispatch   accepted and ignored: round-robin dealing is the only
+//                      accept path (kept so existing command lines still run)
 //   --system           route requests through the SpotCacheSystem data plane
 //                      (router + cache-node placement model)
 //   --resilience       with --system: enable the degradation ladder, so
@@ -41,7 +40,6 @@
 //   --span-sample=N    span-sample every ~Nth request (default 256, 0 = off)
 //   --latency-sample=N latency-sample every ~Nth request (default 16)
 //   --slow-us=N        auto-capture threshold in microseconds (default 50000)
-//   --stall-us=N       event-loop stall threshold in microseconds
 //   --span-ring=N      flight-recorder capacity in spans (default 4096)
 //
 // Signals: SIGINT/SIGTERM stop the loop cleanly (obs artifacts written, a
@@ -90,13 +88,18 @@ void HandleDumpSignal(int /*sig*/) {
 int Usage(int exit_code) {
   std::printf(
       "usage: spotcache_server [--port=11211] [--host=127.0.0.1]\n"
-      "                        [--capacity-mb=64] [--threads=N] [--pin]\n"
-      "                        [--force-dispatch] [--system] [--resilience]\n"
+      "                        [--capacity-mb=64] [--threads=N]\n"
+      "                        [--system] [--resilience]\n"
       "                        [--trace=FILE] [--metrics=FILE]\n"
       "                        [--metrics-port=N] [--spans=FILE]\n"
       "                        [--span-sample=N] [--latency-sample=N]\n"
-      "                        [--slow-us=N] [--stall-us=N] [--span-ring=N]\n"
+      "                        [--slow-us=N] [--span-ring=N]\n"
       "                        [--pidfile=FILE] [--help]\n"
+      "\n"
+      "  --threads=N runs N reactor shards over one port: shard 0 accepts\n"
+      "  every connection and deals them round-robin to the shards.\n"
+      "  --force-dispatch is accepted and ignored (it named that path when\n"
+      "  it was optional).\n"
       "\n"
       "Readiness contract (for supervisors and harnesses):\n"
       "  The first stdout line is exactly `listening <port>`, flushed only\n"
@@ -143,8 +146,6 @@ int main(int argc, char** argv) {
   bool use_system = false;
   bool use_resilience = false;
   uint32_t threads = 1;
-  bool pin_threads = false;
-  bool force_dispatch = false;
   std::string trace_path;
   std::string metrics_path;
   std::string pidfile_path;
@@ -163,10 +164,8 @@ int main(int argc, char** argv) {
       if (threads == 0) {
         threads = 1;
       }
-    } else if (arg == "--pin") {
-      pin_threads = true;
     } else if (arg == "--force-dispatch") {
-      force_dispatch = true;
+      // No-op: shard 0 always deals connections round-robin.
     } else if (arg == "--system") {
       use_system = true;
     } else if (arg == "--resilience") {
@@ -188,8 +187,6 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(std::atoll(arg.c_str() + 17));
     } else if (arg.rfind("--slow-us=", 0) == 0) {
       config.telemetry.slow_request_us = std::atoll(arg.c_str() + 10);
-    } else if (arg.rfind("--stall-us=", 0) == 0) {
-      config.stall_threshold_us = std::atoll(arg.c_str() + 11);
     } else if (arg.rfind("--span-ring=", 0) == 0) {
       config.telemetry.flight_ring_capacity =
           static_cast<uint32_t>(std::atoll(arg.c_str() + 12));
@@ -224,8 +221,6 @@ int main(int argc, char** argv) {
   net::ShardedServerConfig scfg;
   scfg.base = config;
   scfg.threads = threads;
-  scfg.pin_threads = pin_threads;
-  scfg.force_dispatch = force_dispatch;
   net::ShardedServer server(scfg, system.get(), &obs);
   if (!server.Start()) {
     std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
@@ -253,8 +248,7 @@ int main(int argc, char** argv) {
               config.bind_host.c_str(), server.port(),
               config.core.capacity_bytes / (1024 * 1024));
   if (server.shard_count() > 1) {
-    std::printf(", %u shards via %s", server.shard_count(),
-                server.using_reuseport() ? "SO_REUSEPORT" : "dispatch");
+    std::printf(", %u shards", server.shard_count());
   }
   std::printf("%s%s)\n", use_system ? ", system" : "",
               use_resilience ? "+resilience" : "");

@@ -282,9 +282,9 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
 
   // --- Probe shard placement (unmeasured). ------------------------------
   // One `stats spotcache` round-trip per connection tells us which reactor
-  // shard the kernel's SO_REUSEPORT hash (or the dispatcher) assigned it to,
-  // so the report can show whether offered load actually spread across
-  // shards. Runs before t0 so it never pollutes the latency window.
+  // shard the server's round-robin accept assigned it to, so the report can
+  // show whether offered load actually spread across shards. Runs before t0
+  // so it never pollutes the latency window.
   if (config.probe_shards) {
     result.conn_shards.reserve(conns.size());
     for (Conn& c : conns) {

@@ -77,7 +77,8 @@ std::string SegmentJson(const SegmentStats& s) {
 
 /// Per-connection shard placement reported by the `stats spotcache` probe.
 /// Shows whether offered load actually spread across a sharded server's
-/// reactors (SO_REUSEPORT hashes 4-tuples, so small fleets can skew).
+/// reactors (round-robin accept spreads evenly unless other clients
+/// connected in between).
 std::string ShardDistributionJson(const LoadGenResult& r) {
   std::string out =
       Fmt("{\"server_shards\": %u, \"connections_per_shard\": [",

@@ -44,6 +44,11 @@ constexpr size_t kMaxMetricsConns = 32;
 /// client, few enough to bound what a client can make the proxy hold.
 constexpr size_t kMaxParkedPerConn = 1024;
 
+/// A loop iteration whose work phase (everything between two epoll_waits)
+/// takes longer than this counts as a stall: every other connection on the
+/// loop waited at least that long for its next read.
+constexpr int64_t kStallThresholdUs = 10'000;
+
 }  // namespace
 
 NetServer::NetServer(const NetServerConfig& config, SpotCacheSystem* system,
@@ -125,11 +130,6 @@ int NetServer::OpenListener(uint16_t port, uint16_t* bound_port) {
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
-  if (config_.reuse_port) {
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-  }
-#endif
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -150,7 +150,8 @@ int NetServer::OpenListener(uint16_t port, uint16_t* bound_port) {
 }
 
 bool NetServer::Start() {
-  if (!config_.skip_cache_listener) {
+  // Only shard 0 listens; a peer serves what shard 0 hands it.
+  if (shard_ctx_.self == 0) {
     listen_fd_ = OpenListener(config_.port, &port_);
     if (listen_fd_ < 0) {
       return false;
@@ -302,8 +303,7 @@ bool NetServer::Run() {
       loop_wait_hist_->Record(static_cast<double>(t_work0 - t_wait0) * 1e-6);
       loop_work_hist_->Record(static_cast<double>(t_end - t_work0) * 1e-6);
       loop_iterations_->Increment();
-      if (config_.stall_threshold_us > 0 &&
-          t_end - t_work0 > config_.stall_threshold_us) {
+      if (t_end - t_work0 > kStallThresholdUs) {
         loop_stalls_->Increment();
         Trace("loop_stall",
               {{"work_us", EventTracer::JsonNumber(t_end - t_work0)},
@@ -478,8 +478,8 @@ void NetServer::AcceptReady(int listen_fd, bool metrics) {
     if (fd < 0) {
       return;  // EAGAIN or transient accept error: wait for the next event
     }
-    // Accept fallback without SO_REUSEPORT: the dispatcher shard accepts
-    // for everyone and round-robins fds into the other shards' queues.
+    // Shard 0 of a multi-shard server accepts for everyone and deals the
+    // fds round-robin, its own turn included.
     if (!metrics && !dispatch_to_.empty()) {
       NetServer* target = dispatch_to_[dispatch_rr_++ % dispatch_to_.size()];
       if (target != this) {
@@ -529,8 +529,10 @@ void NetServer::RegisterConn(int fd, bool metrics) {
                                      static_cast<int64_t>(conn->id))}});
   }
   conns_.emplace(fd, std::move(conn));
-  if (conns_.size() > conns_high_water_) {
-    conns_high_water_ = conns_.size();
+  // Peak client connections: scrape connections do not count.
+  const size_t clients = conns_.size() - metrics_conns_;
+  if (clients > conns_high_water_) {
+    conns_high_water_ = clients;
     if (conns_hw_gauge_ != nullptr) {
       conns_hw_gauge_->Set(static_cast<double>(conns_high_water_));
     }

@@ -20,10 +20,10 @@
 // always-on per-(op, outcome) latency histograms — see request_telemetry.h
 // for the sampling/overhead story. The event loop itself is instrumented:
 // every iteration records epoll-wait vs. work time into `net/loop/wait_s` /
-// `net/loop/work_s`, and an iteration whose work phase exceeds
-// `stall_threshold_us` bumps `net/loop/stalls` and emits a `loop_stall`
+// `net/loop/work_s`, and an iteration whose work phase exceeds 10 ms
+// (kStallThresholdUs) bumps `net/loop/stalls` and emits a `loop_stall`
 // trace event. High-water gauges track the worst pending-output backlog and
-// peak concurrent connections.
+// peak concurrent client connections (scrape connections excluded).
 //
 // Live scrape surface: with `metrics_port >= 0` the server opens a second
 // listener in the same epoll loop that answers any HTTP request with the
@@ -40,6 +40,11 @@
 // `metrics_dump_path` from loop context. A request slower than the
 // telemetry's `slow_request_us` triggers the same dump automatically
 // (debounced to at most one per second).
+//
+// Accept: the server listens on the cache port only as shard 0, which a
+// plain server is. Shard 0 of a multi-shard server accepts every connection
+// and deals them round-robin to the shards, itself included (SetDispatcher);
+// a peer shard opens no cache listener and adopts what HandOff() queues.
 //
 // One drain (DrainParked) serves every configuration: the plain server, the
 // proxy, and each shard of the multi-core server. Parking handlers
@@ -90,9 +95,6 @@ struct NetServerConfig {
   /// disables the telemetry entirely (no per-request sampler step) — the
   /// configuration bench_net_loopback uses as its uninstrumented baseline.
   RequestTelemetryConfig telemetry;
-  /// A loop iteration whose work phase (everything between two epoll_waits)
-  /// exceeds this is counted as a stall. <= 0 disables stall detection.
-  int64_t stall_threshold_us = 10'000;
   /// Prometheus scrape listener: -1 = off, 0 = ephemeral port (see
   /// metrics_port() after Start()), else the fixed port to bind.
   int metrics_port = -1;
@@ -101,13 +103,6 @@ struct NetServerConfig {
   std::string span_dump_path;
   /// Metrics snapshot dump target (Prometheus text, overwritten per dump).
   std::string metrics_dump_path;
-
-  /// Sharded serving: bind the cache listener with SO_REUSEPORT so N shard
-  /// listeners share one port (the kernel spreads connections by 4-tuple).
-  bool reuse_port = false;
-  /// Hash-dispatch fallback: this shard opens no cache listener of its own
-  /// and only serves connections the dispatcher shard hands over.
-  bool skip_cache_listener = false;
 };
 
 class NetServer final : public EventLoop {
@@ -119,10 +114,11 @@ class NetServer final : public EventLoop {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds and listens (cache port + optional metrics port). Returns false
-  /// (with errno intact) on failure.
+  /// Binds and listens (cache port unless a peer shard, + optional metrics
+  /// port). Returns false (with errno intact) on failure.
   bool Start();
-  /// The bound port (after Start(); useful with port = 0).
+  /// The bound port (after Start(); useful with port = 0); 0 on a peer
+  /// shard.
   uint16_t port() const { return port_; }
   /// The bound metrics port (0 when the scrape listener is off).
   uint16_t metrics_port() const { return metrics_port_; }
@@ -171,10 +167,9 @@ class NetServer final : public EventLoop {
 
   /// Makes this server shard ctx.self of ctx.count. Must run before Start().
   void ConfigureShard(const ShardContext& ctx);
-  /// Dispatcher role (accept fallback without SO_REUSEPORT): this shard
-  /// accepts on behalf of every server in `shards` (itself included, at its
-  /// shard index) and round-robins the accepted fds across them. Must be
-  /// called before Run().
+  /// Shard 0's role: accept on behalf of every server in `shards` (itself
+  /// included, at its shard index) and deal the accepted fds across them
+  /// round-robin. Must be called before Run().
   void SetDispatcher(std::vector<NetServer*> shards) {
     dispatch_to_ = std::move(shards);
   }
@@ -317,7 +312,7 @@ class NetServer final : public EventLoop {
 
   // Sharded-serving state (inert in the single-threaded server).
   ShardContext shard_ctx_;
-  std::vector<NetServer*> dispatch_to_;  // empty unless the dispatcher
+  std::vector<NetServer*> dispatch_to_;  // empty unless multi-shard shard 0
   uint32_t dispatch_rr_ = 0;
   std::mutex handoff_mu_;
   std::vector<int> handoff_fds_;  // guarded by handoff_mu_

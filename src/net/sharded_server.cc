@@ -1,48 +1,14 @@
 #include "src/net/sharded_server.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <atomic>
 #include <thread>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "src/obs/exporters.h"
 #include "src/util/logging.h"
 
 namespace spotcache::net {
-
-namespace {
-
-bool ReusePortSupported() {
-#ifdef SO_REUSEPORT
-  return true;
-#else
-  return false;
-#endif
-}
-
-void PinToCore(uint32_t shard) {
-#ifdef __linux__
-  const unsigned ncores = std::thread::hardware_concurrency();
-  if (ncores == 0) {
-    return;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(shard % ncores, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)shard;
-#endif
-}
-
-}  // namespace
 
 ShardedServer::ShardedServer(const ShardedServerConfig& config,
                              SpotCacheSystem* system, Obs* system_obs)
@@ -55,8 +21,6 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config,
                               1)) {}
 
 bool ShardedServer::Start() {
-  using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
-                     ReusePortSupported();
   for (uint32_t i = 0; i < shard_count_; ++i) {
     NetServerConfig c = config_.base;
     if (i > 0) {
@@ -65,13 +29,7 @@ bool ShardedServer::Start() {
       // file.
       c.metrics_port = -1;
       c.metrics_dump_path.clear();
-      // Peers of an ephemeral shard 0 must bind the port it resolved.
-      c.port = shards_[0]->port();
-      if (!using_reuseport_) {
-        c.skip_cache_listener = true;
-      }
     }
-    c.reuse_port = using_reuseport_;
     // One shard serves with the process's Obs, as a plain NetServer would.
     Obs* obs = shard_count_ == 1 ? system_obs_ : nullptr;
     if (obs == nullptr) {
@@ -114,7 +72,7 @@ bool ShardedServer::Start() {
     cores_.push_back(&shard->core());
     shards_.push_back(std::move(shard));
   }
-  if (shard_count_ > 1 && !using_reuseport_) {
+  if (shard_count_ > 1) {
     std::vector<NetServer*> targets;
     for (auto& shard : shards_) {
       targets.push_back(shard.get());
@@ -133,9 +91,6 @@ bool ShardedServer::Run() {
   threads.reserve(shards_.size());
   for (uint32_t i = 0; i < shard_count_; ++i) {
     threads.emplace_back([this, i, &ok] {
-      if (config_.pin_threads) {
-        PinToCore(i);
-      }
       if (!shards_[i]->Run()) {
         ok.store(false, std::memory_order_relaxed);
       }

@@ -9,13 +9,13 @@
 // it locks the key's partition around the store call and builds the reply
 // after the unlock, so a request never waits for another reactor to run.
 //
-// Accept strategy: by default every shard binds the same port with
-// SO_REUSEPORT and the kernel spreads connections by 4-tuple. Where
-// SO_REUSEPORT is unavailable (or when `force_dispatch` is set — the test
-// hook), shard 0 binds alone, accepts for everyone, and round-robins the
-// accepted fds into its peers' hand-off queues (NetServer::HandOff: a
-// mutex-guarded fd list plus the peer's eventfd); shard 0 never waits for the
-// peer to adopt it.
+// Accept strategy, memcached's: shard 0 alone binds the cache port, accepts
+// every connection, and deals them round-robin to the shards, itself
+// included, so consecutive connections land on consecutive shards and N
+// connections give every shard N / threads of them. A peer's share goes
+// into its hand-off queue (NetServer::HandOff: one mutex-guarded push plus
+// one eventfd write); shard 0 never waits for the peer to adopt it. A
+// connection stays on its shard for life, so requests pay nothing for this.
 //
 // Aggregation surfaces:
 //   * `stats` / `stats spotcache` — the serving shard sums every partition's
@@ -73,11 +73,6 @@ struct ShardedServerConfig {
   /// shard 0 only.
   NetServerConfig base;
   uint32_t threads = 1;  // clamped to [1, kMaxShards]
-  /// Pin shard i to cpu (i % hardware_concurrency).
-  bool pin_threads = false;
-  /// Test hook: use the shard-0 accept fallback even where SO_REUSEPORT is
-  /// available.
-  bool force_dispatch = false;
 };
 
 class ShardedServer {
@@ -104,16 +99,13 @@ class ShardedServer {
   /// may be set before or after it). Call before Run().
   void SetClock(std::function<int64_t()> now_unix);
 
-  /// The shared cache port (after Start()).
+  /// The cache port, shard 0's (after Start()).
   uint16_t port() const { return shards_.empty() ? 0 : shards_[0]->port(); }
   /// Shard 0's metrics port (0 when the scrape listener is off).
   uint16_t metrics_port() const {
     return shards_.empty() ? 0 : shards_[0]->metrics_port();
   }
   uint32_t shard_count() const { return shard_count_; }
-  /// True when serving through per-shard SO_REUSEPORT listeners (false:
-  /// dispatch fallback). Meaningful after Start().
-  bool using_reuseport() const { return using_reuseport_; }
 
   NetServer& shard(size_t i) { return *shards_[i]; }
   /// Shard i's obs bundle: the process's own (`system_obs`) when one shard
@@ -141,7 +133,6 @@ class ShardedServer {
   Obs* system_obs_;
   std::function<int64_t()> clock_;
   uint32_t shard_count_;
-  bool using_reuseport_ = false;
 
   PartitionedStore store_;
   std::mutex system_mu_;

@@ -628,13 +628,12 @@ TEST(ProtocolConformance, ConnectionCapAndStartFailures) {
 // partition, the cross-shard keys, the shared cas sequence, and the
 // whole-store stats/flush sweeps must be invisible on the wire: expectations
 // are the exact same bytes the single-threaded server produces.
-void RunTableSharded(uint32_t threads, bool force_dispatch) {
+void RunTableSharded(uint32_t threads) {
   std::atomic<int64_t> now{kT0};
   ShardedServerConfig config;
   config.base.port = 0;
   config.base.metrics_port = -1;
   config.threads = threads;
-  config.force_dispatch = force_dispatch;
   ShardedServer server(config);
   server.SetClock([&now] { return now.load(); });
   ASSERT_TRUE(server.Start());
@@ -659,18 +658,18 @@ void RunTableSharded(uint32_t threads, bool force_dispatch) {
 }
 
 TEST(ProtocolConformance, ShardedFourReactors) {
-  RunTableSharded(4, /*force_dispatch=*/false);
+  RunTableSharded(4);
 }
 
 TEST(ProtocolConformance, ShardedDispatchFallback) {
-  RunTableSharded(3, /*force_dispatch=*/true);
+  RunTableSharded(3);
 }
 
 // threads=1 is a passthrough: no exchange, no hub, the plain NetServer — the
 // table must hold byte-for-byte there too (the --threads=1 identity the
 // sharding work must not disturb).
 TEST(ProtocolConformance, ShardedSingleThreadPassthrough) {
-  RunTableSharded(1, /*force_dispatch=*/false);
+  RunTableSharded(1);
 }
 
 // The whole wire table through a live proxy tier: client -> proxy NetServer

@@ -11,12 +11,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/net/client.h"
+#include "src/net/request_handler.h"
 #include "src/net/server.h"
 #include "src/obs/exporters.h"
 #include "src/obs/obs.h"
@@ -244,8 +249,8 @@ class TelemetryServerTest : public ::testing::Test {
   std::thread loop_;
 };
 
-/// One HTTP/1.0 scrape of the metrics endpoint; returns the full response.
-std::string Scrape(uint16_t port) {
+/// A loopback TCP connection to `port`.
+int ConnectTo(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -254,6 +259,12 @@ std::string Scrape(uint16_t port) {
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// One HTTP/1.0 scrape of the metrics endpoint; returns the full response.
+std::string Scrape(uint16_t port) {
+  const int fd = ConnectTo(port);
   const char req[] = "GET /metrics HTTP/1.0\r\n\r\n";
   EXPECT_EQ(::send(fd, req, sizeof(req) - 1, 0),
             static_cast<ssize_t>(sizeof(req) - 1));
@@ -432,6 +443,96 @@ TEST_F(TelemetryServerTest, FlightRecorderDumpWritesSpans) {
   EXPECT_NE(content.find("\"type\":\"request_span\""), std::string::npos);
   EXPECT_NE(content.find("\"op\":\"set\""), std::string::npos);
   ::unlink(span_path);
+}
+
+/// Value of the series `name` in a scrape, or -1 when absent.
+long PromValue(const std::string& scrape, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const size_t at = scrape.find(needle);
+  return at == std::string::npos
+             ? -1
+             : std::atol(scrape.c_str() + at + needle.size());
+}
+
+// The connection high-water gauge counts client connections only: a scrape
+// in flight and an idle scrape connection are not clients.
+TEST_F(TelemetryServerTest, ConnsHighWaterSkipsScrapeConnections) {
+  net::NetServerConfig config;
+  config.metrics_port = 0;
+  StartServer(config);
+
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()));
+  ASSERT_TRUE(client.Set("k", "v"));  // the client is registered
+  const int idle = ConnectTo(server_->metrics_port());  // sends nothing
+  const std::string scrape = Scrape(server_->metrics_port());
+  EXPECT_EQ(PromValue(scrape, "net_conns_high_water"), 1) << scrape;
+  ::close(idle);
+  client.Close();
+}
+
+/// ServerCore that sleeps `delay` before answering any request on `key`.
+class StallOnKeyHandler final : public net::RequestHandler {
+ public:
+  StallOnKeyHandler(net::RequestHandler* inner, std::string_view key,
+                    std::chrono::microseconds delay)
+      : inner_(inner), key_(key), delay_(delay) {}
+  bool Handle(const net::TextRequest& req, int64_t now,
+              net::ResponseAssembler* out) override {
+    if (req.keys.size() == 1 && req.keys[0] == key_) {
+      std::this_thread::sleep_for(delay_);
+    }
+    return inner_->Handle(req, now, out);
+  }
+  void HandleParseError(net::ParseErrorKind kind,
+                        net::ResponseAssembler* out) override {
+    inner_->HandleParseError(kind, out);
+  }
+
+ private:
+  net::RequestHandler* inner_;
+  std::string_view key_;
+  std::chrono::microseconds delay_;
+};
+
+// One request that holds the loop for 20 ms is a stall (the threshold is
+// 10 ms): the scrape counts it, `stats spotcache` reports it, and the trace
+// carries a loop_stall event with the iteration's work time.
+TEST(LoopStall, SlowIterationIsCountedReportedAndTraced) {
+  Obs obs;
+  obs.tracer.set_enabled(true);
+  net::NetServerConfig config;
+  config.metrics_port = 0;
+  net::NetServer server(config, nullptr, &obs);
+  StallOnKeyHandler stall(&server.core(), "stall",
+                          std::chrono::milliseconds(20));
+  server.SetHandler(&stall);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.Set("stall", "v"));
+  long stalls = -1;
+  for (const std::string& line : SpotcacheStats(client)) {
+    const std::string prefix = "STAT spotcache_loop_stalls ";
+    if (line.rfind(prefix, 0) == 0) {
+      stalls = std::atol(line.c_str() + prefix.size());
+    }
+  }
+  EXPECT_GE(stalls, 1);
+  EXPECT_GE(PromValue(Scrape(server.metrics_port()), "net_loop_stalls"), 1);
+  client.Close();
+  server.Stop();
+  loop.join();
+
+  const std::string trace = ToJsonl(obs.tracer);
+  const size_t at = trace.find("\"type\":\"loop_stall\"");
+  ASSERT_NE(at, std::string::npos) << trace;
+  const std::string event = trace.substr(at, trace.find('\n', at) - at);
+  const size_t work = event.find("\"work_us\":");
+  ASSERT_NE(work, std::string::npos) << event;
+  EXPECT_GE(std::atol(event.c_str() + work + 10), 10'000) << event;
 }
 
 }  // namespace

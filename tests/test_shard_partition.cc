@@ -106,10 +106,8 @@ TEST(ShardPartition, ShardCountsHonored) {
     ASSERT_TRUE(server.Start());
     EXPECT_NE(server.port(), 0);
     for (uint32_t i = 1; i < threads; ++i) {
-      // Every shard serves the same port (SO_REUSEPORT) or defers to shard
-      // 0's listener (dispatch fallback, port() == 0 on skip).
-      const uint16_t p = server.shard(i).port();
-      EXPECT_TRUE(p == server.port() || p == 0) << "shard " << i;
+      // Only shard 0 listens; peers serve the connections it hands them.
+      EXPECT_EQ(server.shard(i).port(), 0) << "shard " << i;
     }
   }
 }

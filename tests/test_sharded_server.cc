@@ -290,13 +290,12 @@ TEST(ShardedServer, ScrapeUnderMultiShardLoad) {
   EXPECT_GT(PromValue(server.RenderMetrics(), "net_requests"), 0);
 }
 
-// Every shard owns a connection (force_dispatch round-robins them), and a
+// Every shard owns a connection (shard 0 deals them round-robin), and a
 // scrape taken right after the last reply counts every set: each reactor's
 // registry is read between its loop iterations, not from a periodic copy.
 TEST(ShardedServer, ScrapeIsExactAtQuiescence) {
   ShardedServerConfig config = FourShardConfig();
   config.base.metrics_port = 0;
-  config.force_dispatch = true;
   ShardedServer server(config);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
@@ -370,16 +369,13 @@ TEST(ShardedServer, ControlPlaneCountsAtOneAndTwoThreads) {
   }
 }
 
-// Accept fallback: shard 0 owns the only listener and round-robins accepted
-// connections into its peers' hand-off queues; serving must be
-// indistinguishable.
+// Shard 0 owns the only listener and round-robins accepted connections into
+// its peers' hand-off queues; serving must be indistinguishable.
 TEST(ShardedServer, DispatchFallbackServesAllShards) {
   ShardedServerConfig config = FourShardConfig();
   config.threads = 3;
-  config.force_dispatch = true;
   ShardedServer server(config);
   ASSERT_TRUE(server.Start());
-  EXPECT_FALSE(server.using_reuseport());
   std::thread loop([&server] { server.Run(); });
 
   // Round-robin lands consecutive connections on distinct shards.
@@ -459,17 +455,14 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   EXPECT_EQ(total.cmd_flush, 1u);
 }
 
-// Many reactors writing and reading the same keys at once. With
-// force_dispatch, connections land on distinct reactors round-robin, so every
-// partition is written from several threads while `stats` and `flush_all`
-// sweep all of them. Values describe themselves (key, writer, sequence, and a
-// fill whose length and byte follow from those), so a torn or misrouted value
-// cannot pass. A watchdog aborts the run if it stalls: a lock-order deadlock
+// Many reactors writing and reading the same keys at once. Connections land
+// on distinct reactors round-robin, so every partition is written from
+// several threads while `stats` and `flush_all` sweep all of them. Values
+// describe themselves (key, writer, sequence, and a fill whose length and
+// byte follow from those), so a torn or misrouted value cannot pass. A watchdog aborts the run if it stalls: a lock-order deadlock
 // between reactors would otherwise hang the suite instead of failing it.
 TEST(ShardedServer, SharedKeysStayWholeAcrossReactors) {
-  ShardedServerConfig config = FourShardConfig();
-  config.force_dispatch = true;
-  ShardedServer server(config);
+  ShardedServer server(FourShardConfig());
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
 
@@ -748,8 +741,7 @@ TEST(CountAgreement, ServerStatsEqualScrapeAtOneAndTwoShards) {
     ShardedServerConfig config;
     config.base.port = 0;
     config.base.metrics_port = 0;
-    config.threads = threads;
-    config.force_dispatch = true;  // the two connections land on two shards
+    config.threads = threads;  // at 2, the two connections land on two shards
     ShardedServer server(config, &system, &obs);
     server.SetClock([] { return kT0; });
     ASSERT_TRUE(server.Start());
